@@ -77,11 +77,11 @@ int main(int argc, char** argv) {
   // Durable disks on: a `crash` + `recover` here replays the machine's WAL
   // and rejoins via a delta transfer — watch it with `persist-stats`.
   config.persistence.enabled = true;
-  // `--transport=threaded` runs the shell on the real-clock threaded
-  // transport: durations become wall microseconds, ops run on real worker
-  // threads instead of virtual time.
+  // `--transport=threaded|socket` runs the shell on a real-clock transport:
+  // durations become wall microseconds, ops run on real worker threads (or
+  // machine processes) instead of virtual time.
   config.transport = examples::transport_from_args(argc, argv);
-  const bool threaded = config.transport == TransportKind::kThreaded;
+  const bool real_clock = config.transport != TransportKind::kSim;
   // `--segments N` splits the bus into N bridged segments (try 2 and watch
   // `topology` after a few cross-segment reads).
   std::size_t segments = 1;
@@ -127,19 +127,16 @@ int main(int argc, char** argv) {
         const ProcessId p = cluster.process(MachineId{m});
         bool done = false;
         ObjectId id{};
-        if (threaded) {
-          // Issue under the stack lock, then wait for the fabric to report
-          // the completion (checked under the same lock).
-          cluster.transport().run_exclusive([&] {
-            id = cluster.runtime(p.machine)
-                     .insert(p, {Value{key}, Value{text}},
-                             [&done] { done = true; });
-          });
-          cluster.threaded_transport().quiesce([&done] { return done; });
-        } else {
+        // Issue under the stack lock (a plain call on the sim), then wait
+        // for the completion: the fabric reports it under the same lock.
+        cluster.transport().run_exclusive([&] {
           id = cluster.runtime(p.machine)
                    .insert(p, {Value{key}, Value{text}},
                            [&done] { done = true; });
+        });
+        if (real_clock) {
+          cluster.real_clock_transport().quiesce([&done] { return done; });
+        } else {
           cluster.simulator().run_while_pending([&done] { return done; });
         }
         std::cout << "inserted " << id << "\n";
@@ -194,11 +191,11 @@ int main(int argc, char** argv) {
           std::cout << "\n";
         }
       } else if (cmd == "topology") {
-        if (threaded) {
+        if (real_clock) {
+          auto& transport = cluster.real_clock_transport();
           std::cout << "per-segment bus stats are sim-transport only; "
-                    << "crossings=" << cluster.threaded_transport().crossings()
-                    << " msgs=" << cluster.threaded_transport().messages()
-                    << "\n";
+                    << "crossings=" << transport.crossings()
+                    << " msgs=" << transport.messages() << "\n";
           continue;
         }
         const auto& net = cluster.network();
@@ -229,7 +226,7 @@ int main(int argc, char** argv) {
           std::cout << "single bus, no bridges\n";
         }
       } else if (cmd == "stats") {
-        // Under the threaded transport the fabric may be mid-delivery;
+        // Under a real-clock transport the fabric may be mid-delivery;
         // snapshot ledger + history under the stack lock (plain call on sim).
         cluster.transport().run_exclusive([&] {
           std::cout << "msg cost: " << cluster.ledger().total_msg_cost()

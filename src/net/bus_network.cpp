@@ -18,29 +18,17 @@ void BusNetwork::send(MachineId from, MachineId to, const std::string& tag,
     return;
   }
 
-  const std::uint32_t sf = topology_.segment_of(from);
-  const std::uint32_t st = topology_.segment_of(to);
-  const CostModel& src = topology_.segment_model(sf);
+  Price price = topology_.price(from, to, bytes);
+  const std::uint32_t sf = price.from_segment;
+  const std::uint32_t st = price.to_segment;
+  // Transmission begins when the source bus frees up.
+  sim::SimTime start = std::max(simulator_.now(), segment_free_[sf]);
+  sim::SimTime end = 0;  // arrival at the destination machine
 
-  Cost cost = 0;         // total charged msg-cost
-  Cost alpha_part = 0;   // fixed-overhead share (for the alpha/beta split)
-  sim::SimTime start = 0;  // transmission begin on the source bus
-  sim::SimTime end = 0;    // arrival at the destination machine
-  std::size_t hops = 0;
-  bool shed = false;       // dropped at a full bounded bridge ingress
-
-  if (sf == st) {
-    // One serializing bus: transmission begins when it frees up, delivery
-    // happens at transmission end — the classic single-bus model.
-    cost = src.message(bytes);
-    alpha_part = src.alpha;
-    start = std::max(simulator_.now(), segment_free_[sf]);
-    end = start + cost;
-    segment_free_[sf] = end;
-    SegmentStats& stats = segment_stats_[sf];
-    ++stats.messages;
-    stats.bytes += bytes;
-    stats.busy += cost;
+  if (!price.crossing()) {
+    // One serializing bus: delivery happens at transmission end — the
+    // classic single-bus model.
+    end = occupy(sf, start, price.source, bytes);
   } else {
     // Crossing: occupy the source bus, pay the per-hop bridge latency, then
     // occupy the destination bus (store-and-forward; only the shared buses
@@ -48,20 +36,13 @@ void BusNetwork::send(MachineId from, MachineId to, const std::string& tag,
     // send order. With Topology::bridge_capacity set, the destination
     // ingress is a *bounded* buffer: a crossing that would find it full is
     // shed or back-pressured per the topology's BridgePolicy.
-    const CostModel& dst = topology_.segment_model(st);
-    hops = sf < st ? st - sf : sf - st;
-    const Cost src_cost = src.message(bytes);
-    const Cost dst_cost = dst.message(bytes);
-    const Cost bridge = static_cast<Cost>(hops) * topology_.bridge_cost(bytes);
-    start = std::max(simulator_.now(), segment_free_[sf]);
-
     std::deque<sim::SimTime>& queue = ingress_[st];
     // Reservations whose destination transmission began by `now` can never
     // count against any future arrival (arrivals are never in the past).
     while (!queue.empty() && queue.front() <= simulator_.now()) {
       queue.pop_front();
     }
-    sim::SimTime arrive = start + src_cost + bridge;
+    sim::SimTime arrive = start + price.source + price.bridge;
     if (topology_.bounded_bridges()) {
       const std::size_t capacity = topology_.bridge_capacity();
       // Occupancy this crossing finds on arrival: reserved crossings whose
@@ -77,43 +58,26 @@ void BusNetwork::send(MachineId from, MachineId to, const std::string& tag,
           // buffer drains to capacity-1 once the (|q|-capacity)-th queued
           // departure has begun.
           const sim::SimTime room = queue[queue.size() - capacity];
-          start = std::max(start, room - bridge - src_cost);
-          arrive = start + src_cost + bridge;
+          start = std::max(start, room - price.bridge - price.source);
+          arrive = start + price.source + price.bridge;
           ++bridge_backpressured_;
         } else {
-          shed = true;
+          price.shed = true;
         }
       }
     }
 
-    const sim::SimTime src_end = start + src_cost;
-    segment_free_[sf] = src_end;
-    SegmentStats& sstats = segment_stats_[sf];
-    ++sstats.messages;
-    sstats.bytes += bytes;
-    sstats.busy += src_cost;
+    occupy(sf, start, price.source, bytes);
     ++crossings_;
 
-    if (shed) {
+    if (price.shed) {
       // The source bus transmitted and the bridge hops were traversed, but
-      // the message died at the full ingress: charge what actually moved,
-      // never touch the destination bus.
-      cost = src_cost + bridge;
-      alpha_part =
-          src.alpha + static_cast<Cost>(hops) * topology_.bridge_alpha();
-      end = arrive;
+      // the message died at the full ingress: it never touches the
+      // destination bus (and the price drops the destination leg).
       ++bridge_shed_;
     } else {
-      cost = src_cost + bridge + dst_cost;
-      alpha_part = src.alpha + dst.alpha +
-                   static_cast<Cost>(hops) * topology_.bridge_alpha();
       const sim::SimTime dst_start = std::max(arrive, segment_free_[st]);
-      end = dst_start + dst_cost;
-      segment_free_[st] = end;
-      SegmentStats& dstats = segment_stats_[st];
-      ++dstats.messages;
-      dstats.bytes += bytes;
-      dstats.busy += dst_cost;
+      end = occupy(st, dst_start, price.destination, bytes);
       queue.push_back(dst_start);
       const std::size_t depth = static_cast<std::size_t>(
           queue.end() -
@@ -122,27 +86,10 @@ void BusNetwork::send(MachineId from, MachineId to, const std::string& tag,
     }
   }
 
-  ledger_.charge_message(tag, bytes, cost);
-  if (obs_.metrics != nullptr) {
-    obs_.metrics->counter("net.messages").inc();
-    obs_.metrics->counter("net.bytes").inc(bytes);
-    obs_.metrics->gauge("net.cost.alpha").add(alpha_part);
-    obs_.metrics->gauge("net.cost.beta").add(cost - alpha_part);
-    if (segment_count() > 1) {
-      obs_.metrics->counter("net.segment." + std::to_string(sf) + ".messages")
-          .inc();
-      if (hops > 0) obs_.metrics->counter("net.crossings").inc();
-      if (shed) obs_.metrics->counter("net.bridge.shed").inc();
-    }
-  }
-  if (obs_.tracer != nullptr) {
-    obs_.tracer->record_message(tag, bytes, alpha_part, cost - alpha_part,
-                                simulator_.now(), sf, st,
-                                static_cast<std::uint32_t>(hops));
-  }
+  charge(ledger_, obs_, topology_, simulator_, tag, bytes, price);
 
   // A shed crossing never reaches the destination bus: nothing to deliver.
-  if (shed) return;
+  if (price.shed) return;
 
   // Bridge partitions: decided at transmission begin, like the delay
   // windows, so the decision is independent of event-queue tie-breaking.

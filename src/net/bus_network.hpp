@@ -12,7 +12,7 @@
 // behavior bit-for-bit.
 //
 // BusNetwork is the virtual-time implementation of net::Transport; the
-// real-clock counterpart is net::ThreadedTransport. Payloads are delivery
+// real-clock counterparts derive from net::RealClockTransport. Payloads are delivery
 // closures (the whole system lives in one address space), but every send
 // declares its wire size explicitly; all cost accounting uses the declared
 // size, never sizeof.
@@ -39,8 +39,6 @@ namespace paso::net {
 /// connecting `n` machines.
 class BusNetwork final : public Transport {
  public:
-  using Delivery = Transport::Delivery;
-
   /// Per-segment traffic totals (utilization = busy / elapsed time).
   struct SegmentStats {
     std::uint64_t messages = 0;  ///< transmissions that occupied this bus
@@ -152,9 +150,8 @@ class BusNetwork final : public Transport {
   /// Cross-segment transmissions so far.
   std::uint64_t crossings() const { return crossings_; }
 
-  /// Install (or clear) the observability handle. The bus is the single
-  /// charge site for msg-cost, so this is where every transmission gets its
-  /// alpha/beta decomposition recorded and attributed to the active traces.
+  /// Install (or clear) the observability handle: net::charge records every
+  /// transmission's alpha/beta decomposition against the active traces.
   void set_obs(obs::Obs o) override { obs_ = o; }
   obs::Obs observability() const override { return obs_; }
 
@@ -170,6 +167,17 @@ class BusNetwork final : public Transport {
   }
 
  private:
+  /// Reserve `segment`'s bus for `busy` time from `start`; returns the end.
+  sim::SimTime occupy(std::uint32_t segment, sim::SimTime start, Cost busy,
+                      std::size_t bytes) {
+    segment_free_[segment] = start + busy;
+    SegmentStats& stats = segment_stats_[segment];
+    ++stats.messages;
+    stats.bytes += bytes;
+    stats.busy += busy;
+    return segment_free_[segment];
+  }
+
   struct Disturbance {
     sim::SimTime drop_until = 0;
     sim::SimTime delay_until = 0;

@@ -75,17 +75,9 @@ int make_listener(std::uint16_t& port_out, int backlog) {
 SocketTransport::SocketTransport(CostModel model, std::size_t n,
                                  Topology topology,
                                  SocketTransportOptions options)
-    : model_(model),
-      topology_(topology.resolve(n, model)),
+    : RealClockTransport(model, n, topology),
       options_(options),
-      shards_(n),
-      up_(n),
       crossing_inflight_(topology_.segment_count()) {
-  PASO_REQUIRE(n > 0, "socket transport needs at least one machine");
-  ledger_.ensure_machines(n);
-  for (auto& up : up_) up.store(true, std::memory_order_relaxed);
-  for (auto& c : crossing_inflight_) c.store(0, std::memory_order_relaxed);
-
   listen_fd_ = make_listener(port_, static_cast<int>(n) + 8);
   PASO_REQUIRE(listen_fd_ >= 0, "socket transport: cannot listen");
   PASO_REQUIRE(::pipe(wake_pipe_) == 0, "socket transport: cannot make pipe");
@@ -109,16 +101,7 @@ SocketTransport::SocketTransport(CostModel model, std::size_t n,
   // fork-only children (no exec) continue from fork() into the endpoint
   // loop, which is only sound from an effectively single-threaded parent.
   for (std::uint32_t m = 0; m < n; ++m) {
-    proc::SpawnSpec spec;
-    spec.endpoint.port = port_;
-    spec.endpoint.machine = m;
-    spec.endpoint.token = endpoints_[m]->token.load(std::memory_order_relaxed);
-    spec.endpoint.ingress_capacity = options_.ingress_capacity;
-    spec.endpoint.heartbeat_interval_us = options_.heartbeat_interval_us;
-    spec.exec_path = options_.machined_path;
-    const int pid = proc::spawn_machine_process(spec);
-    PASO_REQUIRE(pid > 0, "socket transport: spawn failed");
-    supervisor_->adopt(m, pid);
+    PASO_REQUIRE(spawn_endpoint(m), "socket transport: spawn failed");
   }
 
   PASO_REQUIRE(await_handshakes(n, options_.handshake_timeout_us),
@@ -126,15 +109,7 @@ SocketTransport::SocketTransport(CostModel model, std::size_t n,
 
   // Only now (children forked, endpoints attached) does the broker grow
   // threads: the timer loop, the supervisor monitor, IO and dispatch.
-  // Timer callbacks run under the stack shards of the domain captured when
-  // they were scheduled, so timer chains inherit their root's domain.
-  executor_ = std::make_unique<exec::ThreadedExecutor>(
-      [this](exec::Executor::Action&& action, std::uint64_t ctx) {
-        DomainLock lock(shards_, ctx);
-        DomainScope scope(this, ctx);
-        if (!stopping_.load(std::memory_order_relaxed)) action();
-      },
-      [this] { return context_mask(); });
+  start_executor();
   supervisor_->start();
   io_thread_ = std::thread([this] { io_loop(); });
   dispatch_thread_ = std::thread([this] { dispatch_loop(); });
@@ -142,53 +117,23 @@ SocketTransport::SocketTransport(CostModel model, std::size_t n,
 
 SocketTransport::~SocketTransport() { shutdown(); }
 
+bool SocketTransport::spawn_endpoint(std::uint32_t machine) {
+  proc::SpawnSpec spec;
+  spec.endpoint.port = port_;
+  spec.endpoint.machine = machine;
+  spec.endpoint.token =
+      endpoints_[machine]->token.load(std::memory_order_acquire);
+  spec.endpoint.ingress_capacity = options_.ingress_capacity;
+  spec.endpoint.heartbeat_interval_us = options_.heartbeat_interval_us;
+  spec.exec_path = options_.machined_path;
+  const int pid = proc::spawn_machine_process(spec);
+  if (pid <= 0) return false;
+  supervisor_->adopt(machine, pid);
+  return true;
+}
+
 void SocketTransport::set_peer_death_hook(PeerDeathHook hook) {
   death_hook_ = std::move(hook);
-}
-
-void SocketTransport::set_up(MachineId machine, bool up) {
-  PASO_REQUIRE(machine.value < up_.size(), "unknown machine");
-  up_[machine.value].store(up, std::memory_order_release);
-}
-
-bool SocketTransport::is_up(MachineId machine) const {
-  PASO_REQUIRE(machine.value < up_.size(), "unknown machine");
-  return up_[machine.value].load(std::memory_order_acquire);
-}
-
-void SocketTransport::set_obs(obs::Obs o) { obs_ = o; }
-
-obs::Obs SocketTransport::observability() const { return obs_; }
-
-void SocketTransport::run_exclusive(const std::function<void()>& fn) {
-  DomainLock lock(shards_, kGlobalDomain);
-  DomainScope scope(this, kGlobalDomain);
-  fn();
-}
-
-void SocketTransport::run_scoped(std::uint64_t domain,
-                                 const std::function<void()>& fn) {
-  DomainLock lock(shards_, domain);
-  DomainScope scope(this, domain);
-  fn();
-}
-
-bool SocketTransport::context_is_global() const {
-  return context_mask() == kGlobalDomain;
-}
-
-void SocketTransport::defer_exclusive(std::function<void()> fn) {
-  // Re-run `fn` outside the current (narrow) domain: schedule it with a
-  // forced-global context so the timer runner takes every shard.
-  DomainScope scope(this, kGlobalDomain);
-  executor_->schedule_after(0, std::move(fn));
-}
-
-void SocketTransport::with_global_context(const std::function<void()>& fn) {
-  // No locks taken — only widens the advertised context so nested sends
-  // capture the global domain (cross-domain notification hops).
-  DomainScope scope(this, kGlobalDomain);
-  fn();
 }
 
 int SocketTransport::child_pid(MachineId m) const {
@@ -200,112 +145,41 @@ bool SocketTransport::endpoint_alive(MachineId m) const {
   return !endpoints_[m.value]->dead.load(std::memory_order_acquire);
 }
 
-void SocketTransport::send(MachineId from, MachineId to, const std::string& tag,
-                           std::size_t bytes, Delivery deliver) {
-  PASO_REQUIRE(from.value < up_.size() && to.value < up_.size(),
-               "unknown machine");
-  PASO_REQUIRE(deliver != nullptr, "null delivery");
-  if (stopping_.load(std::memory_order_relaxed)) return;
-  if (!is_up(from)) return;  // a crashed machine sends nothing
-
-  // The delivery's domain: everything the sending execution may touch,
-  // widened by the destination — same contract as the threaded transport.
-  const DomainMask domain = context_mask() | domain_bit(to.value);
-
-  if (from == to) {
-    // Local hand-off: no wire, no cost — the socket analogue of the
-    // simulator's schedule_after(0); runs under the domain's stack shards
-    // on the timer thread.
-    DomainScope scope(this, domain);
-    executor_->schedule_after(0, std::move(deliver));
-    return;
-  }
-
-  const std::uint32_t sf = topology_.segment_of(from);
-  const std::uint32_t st = topology_.segment_of(to);
-  const CostModel& src = topology_.segment_model(sf);
-
-  // Model-cost accounting, identical to the simulated bus and the threaded
-  // transport — that identity is what lets trace_diff reconcile a socket
-  // run's CostLedger against a simulated replay exactly. The ledger
-  // serializes internally; obs handles are only touched under the global
-  // domain (context_mask forces global whenever obs is installed).
-  Cost cost = 0;
-  Cost alpha_part = 0;
-  std::size_t hops = 0;
-  bool shed = false;
-  if (sf == st) {
-    cost = src.message(bytes);
-    alpha_part = src.alpha;
-    enqueue_msg(to, /*crossing=*/false, st, bytes, std::move(deliver), domain);
-  } else {
-    const CostModel& dst = topology_.segment_model(st);
-    hops = sf < st ? st - sf : sf - st;
-    const Cost bridge = static_cast<Cost>(hops) * topology_.bridge_cost(bytes);
-    crossings_.fetch_add(1, std::memory_order_relaxed);
+bool SocketTransport::transmit(MachineId to, const Price& price,
+                               std::size_t bytes, Delivery&& deliver,
+                               DomainMask domain) {
+  const bool crossing = price.crossing();
+  const std::uint32_t dst_segment = price.to_segment;
+  if (crossing) {
     // Bounded bridge ingress: the broker mirrors the destination process's
     // ingress occupancy as an in-flight crossing credit per segment (frames
-    // sent, ack not yet back). At the cap the crossing is shed at
-    // transmission begin — backpressure degrades to shed on a real-clock
-    // transport for the same reason as the threaded one: the sender holds
-    // the stack lock that delivery needs, so waiting for room would
-    // deadlock the fabric.
-    if (topology_.bounded_bridges() &&
-        crossing_inflight_[st].load(std::memory_order_acquire) >=
-            topology_.bridge_capacity()) {
-      shed = true;
-    }
-    if (shed) {
-      // The crossing died at the full ingress: charge the source bus and
-      // the bridge hops that actually carried it, never the destination.
-      cost = src.message(bytes) + bridge;
-      alpha_part =
-          src.alpha + static_cast<Cost>(hops) * topology_.bridge_alpha();
-      bridge_shed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      cost = src.message(bytes) + bridge + dst.message(bytes);
-      alpha_part = src.alpha + dst.alpha +
-                   static_cast<Cost>(hops) * topology_.bridge_alpha();
-      crossing_inflight_[st].fetch_add(1, std::memory_order_acq_rel);
-      enqueue_msg(to, /*crossing=*/true, st, bytes, std::move(deliver), domain);
-    }
+    // sent, ack not yet back). Senders holding disjoint shard domains race
+    // for the same credit, so check-and-reserve is one atomic step: a CAS
+    // that increments only below the cap. At the cap the crossing is shed
+    // at transmission begin.
+    const std::size_t cap = topology_.bounded_bridges()
+                                ? topology_.bridge_capacity()
+                                : kUnboundedBridge;
+    std::atomic<std::size_t>& credit = crossing_inflight_[dst_segment];
+    std::size_t held = credit.load(std::memory_order_acquire);
+    do {
+      if (held >= cap) return false;
+    } while (!credit.compare_exchange_weak(held, held + 1,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire));
   }
-  ledger_.charge_message(tag, bytes, cost);
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (obs_.metrics != nullptr) {
-    obs_.metrics->counter("net.messages").inc();
-    obs_.metrics->counter("net.bytes").inc(bytes);
-    obs_.metrics->gauge("net.cost.alpha").add(alpha_part);
-    obs_.metrics->gauge("net.cost.beta").add(cost - alpha_part);
-    if (segment_count() > 1) {
-      obs_.metrics->counter("net.segment." + std::to_string(sf) + ".messages")
-          .inc();
-      if (hops > 0) obs_.metrics->counter("net.crossings").inc();
-      if (shed) obs_.metrics->counter("net.bridge.shed").inc();
-    }
-  }
-  if (obs_.tracer != nullptr) {
-    obs_.tracer->record_message(tag, bytes, alpha_part, cost - alpha_part,
-                                executor_->now(), sf, st,
-                                static_cast<std::uint32_t>(hops));
-  }
-}
 
-void SocketTransport::enqueue_msg(MachineId to, bool crossing,
-                                  std::uint32_t dst_segment, std::size_t bytes,
-                                  Delivery deliver, DomainMask domain) {
   Endpoint& ep = *endpoints_[to.value];
   if (ep.dead.load(std::memory_order_acquire)) {
     // The destination's process is gone but the protocol crash hasn't
     // propagated yet (or the machine stayed down): the transmission is
     // charged, the delivery silently dropped — the crash-fault model's
     // "destination down => drop", surfaced at the wire instead of at
-    // execution time. Undo the crossing credit: nothing is in flight.
+    // execution time. Return the crossing credit: nothing is in flight.
     if (crossing) {
       crossing_inflight_[dst_segment].fetch_sub(1, std::memory_order_acq_rel);
     }
-    return;  // `deliver` destroyed here, under the caller's stack shards
+    return true;  // `deliver` destroyed by the caller, under its shards
   }
 
   inflight_.fetch_add(1, std::memory_order_acq_rel);
@@ -315,12 +189,15 @@ void SocketTransport::enqueue_msg(MachineId to, bool crossing,
     // toward the same endpoint serialize here, not on the stack lock.
     std::lock_guard<std::mutex> lock(io_mu_);
     const std::uint64_t seq = ep.next_seq++;
-    ep.pending.push_back({seq, crossing, dst_segment, std::move(deliver),
-                          domain});
+    ep.pending.push_back(
+        {seq, crossing, dst_segment,
+         Sealed{std::move(deliver), domain,
+                static_cast<std::uint32_t>(to.value)}});
     append_wire(ep, FrameType::kMsg, static_cast<std::uint32_t>(to.value), seq,
                 bytes);
   }
   wake_io();
+  return true;
 }
 
 void SocketTransport::append_wire(Endpoint& ep, FrameType type,
@@ -560,19 +437,13 @@ void SocketTransport::handle_frames(std::uint32_t machine) {
     if (!r.has_frame) return;
     switch (r.frame.type) {
       case FrameType::kDeliver: {
-        Delivery deliver;
         bool fifo_ok = false;
-        bool crossing = false;
-        std::uint32_t dst_segment = 0;
-        DomainMask domain = kGlobalDomain;
+        Endpoint::Pending acked{};
         {
           std::lock_guard<std::mutex> lock(io_mu_);
           if (!ep.pending.empty() && ep.pending.front().seq == r.frame.seq) {
             fifo_ok = true;
-            crossing = ep.pending.front().crossing;
-            dst_segment = ep.pending.front().dst_segment;
-            domain = ep.pending.front().domain;
-            deliver = std::move(ep.pending.front().deliver);
+            acked = std::move(ep.pending.front());
             ep.pending.pop_front();
           }
         }
@@ -584,14 +455,14 @@ void SocketTransport::handle_frames(std::uint32_t machine) {
           return;
         }
         acks_.fetch_add(1, std::memory_order_relaxed);
-        if (crossing) {
-          crossing_inflight_[dst_segment].fetch_sub(1,
-                                                    std::memory_order_acq_rel);
+        if (acked.crossing) {
+          crossing_inflight_[acked.dst_segment].fetch_sub(
+              1, std::memory_order_acq_rel);
         }
         supervisor_->beat(machine);
         {
           std::lock_guard<std::mutex> lock(dispatch_mu_);
-          dispatch_queue_.push_back({machine, std::move(deliver), domain});
+          dispatch_queue_.push_back(std::move(acked.sealed));
         }
         dispatch_cv_.notify_one();
         break;
@@ -660,7 +531,7 @@ void SocketTransport::io_loop() {
       }
     }
 
-    // Sleep until a socket or the wake pipe stirs: enqueue_msg and shutdown
+    // Sleep until a socket or the wake pipe stirs: transmit and shutdown
     // both write the wake pipe, so no fixed tick is needed. The only timed
     // wakeup this loop owes anyone is expiring a half-open handshake, so the
     // timeout is that deadline — or forever when none is pending.
@@ -795,7 +666,7 @@ void SocketTransport::io_loop() {
 }
 
 void SocketTransport::dispatch_loop() {
-  std::deque<Dispatch> batch;
+  std::vector<Sealed> batch;
   for (;;) {
     {
       // Plain predicate wait — no timed tick. Shutdown notifies under
@@ -812,26 +683,9 @@ void SocketTransport::dispatch_loop() {
       dispatcher_busy_.store(true, std::memory_order_release);
       batch.swap(dispatch_queue_);
     }
-    // Execute phase: each delivery runs under the stack shards of its own
-    // domain, in ack order — narrow domains let deliveries toward disjoint
-    // machine sets overlap with issues elsewhere. The machine's up check
-    // happens at execution time, mirroring the simulated bus's
-    // delivery-time crash drop.
-    const std::size_t executed = batch.size();
-    for (Dispatch& d : batch) {
-      DomainLock lock(shards_, d.domain);
-      DomainScope scope(this, d.domain);
-      if (!stopping_.load(std::memory_order_relaxed) &&
-          up_[d.machine].load(std::memory_order_acquire)) {
-        d.deliver();
-      }
-      d.deliver = nullptr;  // destroy the closure under its domain's shards
-    }
-    batch.clear();
-    // Deliveries leave "in flight" only after their effects are visible
-    // under their shards; busy drops last so quiesce() cannot observe
-    // inflight==0 with the dispatcher still mid-batch.
-    inflight_.fetch_sub(executed, std::memory_order_acq_rel);
+    // In ack order; narrow domains let deliveries toward disjoint machine
+    // sets overlap with issues elsewhere.
+    execute(batch);
     dispatcher_busy_.store(false, std::memory_order_release);
   }
 }
@@ -842,19 +696,8 @@ bool SocketTransport::respawn(MachineId machine) {
   Endpoint& ep = *endpoints_[m];
   PASO_REQUIRE(ep.dead.load(std::memory_order_acquire),
                "respawn of a live endpoint");
-  const std::uint64_t token = fresh_token();
-  ep.token.store(token, std::memory_order_release);
-
-  proc::SpawnSpec spec;
-  spec.endpoint.port = port_;
-  spec.endpoint.machine = m;
-  spec.endpoint.token = token;
-  spec.endpoint.ingress_capacity = options_.ingress_capacity;
-  spec.endpoint.heartbeat_interval_us = options_.heartbeat_interval_us;
-  spec.exec_path = options_.machined_path;
-  const int pid = proc::spawn_machine_process(spec);
-  if (pid <= 0) return false;
-  supervisor_->adopt(m, pid);
+  ep.token.store(fresh_token(), std::memory_order_release);
+  if (!spawn_endpoint(m)) return false;
 
   // The IO thread's accept path completes the handshake; wait it out.
   const Clock::time_point deadline =
@@ -867,36 +710,8 @@ bool SocketTransport::respawn(MachineId machine) {
   return true;
 }
 
-bool SocketTransport::quiesce(const std::function<bool()>& done,
-                              exec::Time timeout_us) {
-  const exec::Time deadline = executor_->now() + timeout_us;
-  int stable = 0;
-  while (stable < 3) {
-    // Quiet = nothing moving anywhere: no delivery on the wire or in a
-    // child's ingress or awaiting dispatch, no dispatcher mid-batch, no
-    // executor action running, and an *empty* timer queue — same contract
-    // (and same `== kNever` subtlety) as ThreadedTransport::quiesce.
-    bool quiet = inflight_deliveries() == 0 &&
-                 !dispatcher_busy_.load(std::memory_order_acquire) &&
-                 !executor_->running_action() &&
-                 executor_->next_due() == exec::kNever;
-    if (quiet && done) {
-      run_exclusive([&] { quiet = done(); });
-    }
-    stable = quiet ? stable + 1 : 0;
-    if (executor_->now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  return true;
-}
-
 void SocketTransport::shutdown() {
-  if (shut_down_) return;
-  shut_down_ = true;
-
-  // Stop the timer loop first (joins its thread: no more timer actions).
-  stopping_.store(true, std::memory_order_release);
-  if (executor_) executor_->stop();
+  if (!begin_shutdown()) return;
 
   // Every machine process is now expected to exit: tell them to drain, and
   // let the supervisor treat the resulting EOFs/exits as planned.

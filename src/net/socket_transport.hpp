@@ -5,20 +5,20 @@
 // thread inside one address space, SocketTransport gives each machine its
 // own *process* (proc::spawn_machine_process), connected to this — the
 // broker — process over a length-prefixed framed codec (net/frame.hpp) on
-// TCP localhost. A transmission physically leaves the broker as a kMsg
-// frame whose payload is the declared wire size, enters the destination
-// machine's process, sits in that process's *bounded* ingress buffer, and
-// comes back as a kDeliver ack; only then does the delivery closure run.
-// Every message therefore round-trips the real wire through the real
-// destination process before the protocol observes it.
+// TCP localhost. A transmission leaves the broker as a kMsg frame, enters
+// the destination machine's process, sits in that process's *bounded*
+// ingress buffer, and comes back as a kDeliver ack; only then does the
+// delivery closure run, in the broker: delivery closures never leave it.
+// The kMsg payload is zero filler of the declared wire size, so protocol
+// bytes never cross the wire. The wire carries the traffic's volume and
+// timing, not its content.
 //
 // Bus semantics and cost accounting:
-//   * The broker is the bus arbiter: every send happens under the protocol
-//     stack lock, so frames enter the wire one at a time, in a single
-//     global order, exactly like transmissions on the paper's serializing
-//     bus — the "token" is the broker itself.
-//   * Model costs are charged at transmission begin with the identical
-//     alpha/beta/bridge formula the simulated bus and the threaded
+//   * The broker is the bus arbiter: frames toward a machine are numbered
+//     and queued under one IO mutex, so each endpoint's stream has a single
+//     order — the "token" is the broker itself.
+//   * Model costs are charged at transmission begin by RealClockTransport
+//     through net::charge, the routine the simulated bus and the threaded
 //     transport use, so a socket run's CostLedger reconciles exactly
 //     against a simulated replay of the same trace (tools/trace_diff
 //     --transport=all asserts this three ways).
@@ -45,9 +45,8 @@
 // pending-handshake deadline — no fixed poll tick), one dispatcher thread
 // executing delivered closures, and the ThreadedExecutor's timer thread.
 // All protocol execution — issues, deliveries, timer callbacks — runs
-// under the machine-sharded stack lock (net/shard.hpp), identical to the
-// threaded transport's contract: each execution holds the shards of its
-// domain, acquired in ascending order; 1 cost unit = 1 microsecond.
+// under RealClockTransport's machine-sharded stack lock, identical to the
+// threaded transport's contract; 1 cost unit = 1 microsecond.
 // Output IO is batched: frames queued toward an endpoint accumulate in
 // pooled slabs and leave in a single writev (frames_sent/write_syscalls
 // counters expose the coalescing ratio).
@@ -64,10 +63,8 @@
 #include <thread>
 #include <vector>
 
-#include "exec/threaded_executor.hpp"
 #include "net/frame.hpp"
-#include "net/shard.hpp"
-#include "net/transport.hpp"
+#include "net/real_clock_transport.hpp"
 #include "proc/supervisor.hpp"
 
 namespace paso::net {
@@ -88,35 +85,12 @@ struct SocketTransportOptions {
   std::string machined_path;
 };
 
-class SocketTransport final : public Transport {
+class SocketTransport final : public RealClockTransport {
  public:
   SocketTransport(CostModel model, std::size_t n, Topology topology = {},
                   SocketTransportOptions options = {});
   ~SocketTransport() override;
 
-  SocketTransport(const SocketTransport&) = delete;
-  SocketTransport& operator=(const SocketTransport&) = delete;
-
-  // --- Transport -------------------------------------------------------------
-  void send(MachineId from, MachineId to, const std::string& tag,
-            std::size_t bytes, Delivery deliver) override;
-  void set_up(MachineId machine, bool up) override;
-  bool is_up(MachineId machine) const override;
-  std::size_t machine_count() const override { return up_.size(); }
-  const CostModel& cost_model() const override { return model_; }
-  const Topology& topology() const override { return topology_; }
-  CostLedger& ledger() override { return ledger_; }
-  const CostLedger& ledger() const override { return ledger_; }
-  exec::Executor& executor() override { return *executor_; }
-  const exec::Executor& executor() const override { return *executor_; }
-  void set_obs(obs::Obs o) override;
-  obs::Obs observability() const override;
-  void run_exclusive(const std::function<void()>& fn) override;
-  void run_scoped(std::uint64_t domain,
-                  const std::function<void()>& fn) override;
-  bool context_is_global() const override;
-  void defer_exclusive(std::function<void()> fn) override;
-  void with_global_context(const std::function<void()>& fn) override;
   void shutdown() override;
 
   // --- process plane ----------------------------------------------------------
@@ -138,19 +112,6 @@ class SocketTransport final : public Transport {
   bool respawn(MachineId m);
 
   // --- fabric observers -------------------------------------------------------
-  std::uint64_t messages() const {
-    return messages_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytes_sent() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t crossings() const {
-    return crossings_.load(std::memory_order_relaxed);
-  }
-  /// Crossings shed at an exhausted bounded-bridge credit.
-  std::uint64_t bridge_shed() const {
-    return bridge_shed_.load(std::memory_order_relaxed);
-  }
   /// Frames round-tripped through a machine process and acked back.
   std::uint64_t acks_received() const {
     return acks_.load(std::memory_order_relaxed);
@@ -175,22 +136,6 @@ class SocketTransport final : public Transport {
     return rejected_.load(std::memory_order_relaxed);
   }
   std::uint16_t port() const { return port_; }
-  const exec::ThreadedExecutor& threaded_executor() const {
-    return *executor_;
-  }
-
-  /// Deliveries sent but not yet executed (wire + child ingress + dispatch
-  /// queue + in dispatcher).
-  std::uint64_t inflight_deliveries() const {
-    return inflight_.load(std::memory_order_acquire);
-  }
-
-  /// Block until the fabric is quiet (no in-flight deliveries, dispatcher
-  /// idle, timer queue empty — same contract as ThreadedTransport::quiesce)
-  /// and `done` (under the stack lock; may be null) holds, stable across a
-  /// few polls. False on timeout.
-  bool quiesce(const std::function<bool()>& done = {},
-               exec::Time timeout_us = 30'000'000);
 
  private:
   /// Broker-side state of one machine's endpoint connection.
@@ -204,14 +149,13 @@ class SocketTransport final : public Transport {
     std::deque<std::string> outq;
     std::size_t out_off = 0;     ///< io_mu_
     /// FIFO of frames on the wire / in the child's ingress: seq, whether
-    /// the transmission was a bridge crossing, the delivery to run on ack,
-    /// and the stack-shard domain that delivery must hold. io_mu_.
+    /// the transmission was a bridge crossing, and the sealed delivery to
+    /// run on ack. io_mu_.
     struct Pending {
       std::uint64_t seq;
       bool crossing;
       std::uint32_t dst_segment;
-      Delivery deliver;
-      DomainMask domain = kGlobalDomain;
+      Sealed sealed;
     };
     std::deque<Pending> pending;
     std::uint64_t next_seq = 1;  ///< io_mu_
@@ -228,6 +172,9 @@ class SocketTransport final : public Transport {
     std::chrono::steady_clock::time_point deadline;
   };
 
+  /// Spawn machine `machine`'s endpoint process, told the endpoint's
+  /// current Hello token, and hand it to the supervisor. False on failure.
+  bool spawn_endpoint(std::uint32_t machine);
   void io_loop();
   void dispatch_loop();
   void wake_io();
@@ -241,10 +188,6 @@ class SocketTransport final : public Transport {
   /// Validate a Hello on `fd`; attach as machine endpoint or reject.
   /// Returns the attached machine or SIZE_MAX.
   std::size_t attach_connection(int fd, const Frame& hello);
-  /// Frame a transmission toward `to` and queue its delivery on the ack
-  /// FIFO with the stack-shard `domain` its execution must hold.
-  void enqueue_msg(MachineId to, bool crossing, std::uint32_t dst_segment,
-                   std::size_t bytes, Delivery deliver, DomainMask domain);
   /// Append a frame header plus `payload_bytes` of zero filler to the
   /// endpoint's slab queue. Caller holds io_mu_.
   void append_wire(Endpoint& ep, FrameType type, std::uint32_t machine,
@@ -254,27 +197,17 @@ class SocketTransport final : public Transport {
   /// Flush the endpoint's slab queue with vectored writes until the wire
   /// blocks or the queue drains. Caller holds io_mu_.
   void flush_endpoint(Endpoint& ep);
-  /// The calling thread's ambient domain on THIS transport (global for
-  /// foreign threads); observability forces global — see threaded peer.
-  DomainMask context_mask() const {
-    if (obs_.metrics != nullptr || obs_.tracer != nullptr) {
-      return kGlobalDomain;
-    }
-    const DomainContext& c = tls_domain();
-    return c.owner == this ? c.mask : kGlobalDomain;
+  /// Reserve a crossing's bridge credit (none left: shed), then frame the
+  /// transmission toward `to` and queue its delivery on the ack FIFO with
+  /// the stack-shard `domain` its execution must hold.
+  bool transmit(MachineId to, const Price& price, std::size_t bytes,
+                Delivery&& deliver, DomainMask domain) override;
+  /// True when the dispatcher is not mid-batch.
+  bool fabric_idle() const override {
+    return !dispatcher_busy_.load(std::memory_order_acquire);
   }
 
-  CostModel model_;
-  Topology topology_;
-  CostLedger ledger_;
-  obs::Obs obs_;
   SocketTransportOptions options_;
-
-  /// THE stack lock, sharded per machine: every protocol step (issue,
-  /// delivery, timer) holds the shards of its domain, ascending.
-  ShardedStackLock shards_;
-
-  std::unique_ptr<exec::ThreadedExecutor> executor_;
   std::unique_ptr<proc::Supervisor> supervisor_;
   PeerDeathHook death_hook_;
 
@@ -282,7 +215,6 @@ class SocketTransport final : public Transport {
   std::uint16_t port_ = 0;
   int wake_pipe_[2] = {-1, -1};
 
-  std::vector<std::atomic<bool>> up_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   /// io_mu_ guards every endpoint's outq/out_off/pending/bye/next_seq, the
   /// pending-conn list, the slab pool, and fd lifecycle transitions.
@@ -294,14 +226,9 @@ class SocketTransport final : public Transport {
 
   /// Dispatcher: closures acked back from machine processes, executed
   /// under their domain's stack shards in ack order.
-  struct Dispatch {
-    std::uint32_t machine;
-    Delivery deliver;
-    DomainMask domain = kGlobalDomain;
-  };
   std::mutex dispatch_mu_;
   std::condition_variable dispatch_cv_;
-  std::deque<Dispatch> dispatch_queue_;
+  std::vector<Sealed> dispatch_queue_;
   std::atomic<bool> dispatcher_busy_{false};
 
   /// Bounded-bridge credit: crossings in flight toward each segment.
@@ -309,15 +236,8 @@ class SocketTransport final : public Transport {
 
   std::thread io_thread_;
   std::thread dispatch_thread_;
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> io_stop_{false};
-  bool shut_down_ = false;
 
-  std::atomic<std::uint64_t> inflight_{0};
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> crossings_{0};
-  std::atomic<std::uint64_t> bridge_shed_{0};
   std::atomic<std::uint64_t> acks_{0};
   std::atomic<std::uint64_t> heartbeats_{0};
   std::atomic<std::uint64_t> rejected_{0};

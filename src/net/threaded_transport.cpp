@@ -29,34 +29,16 @@ class TokenGuard {
 ThreadedTransport::ThreadedTransport(CostModel model, std::size_t n,
                                      Topology topology,
                                      ThreadedTransportOptions options)
-    : model_(model),
-      topology_(topology.resolve(n, model)),
-      options_(options),
-      shards_(n),
-      up_(n) {
-  ledger_.ensure_machines(n);
-  for (auto& up : up_) up.store(true, std::memory_order_relaxed);
+    : RealClockTransport(model, n, topology), options_(options) {
   const std::size_t segments = topology_.segment_count();
   for (std::size_t s = 0; s < segments; ++s) {
     tokens_.push_back(std::make_unique<std::atomic_flag>());
-  }
-  for (std::size_t s = 0; s < segments; ++s) {
     for (std::size_t m = 0; m < n; ++m) {
       rings_.push_back(
           std::make_unique<SpscRing<Sealed>>(options_.ring_capacity));
     }
   }
-  // Timer callbacks are protocol code: run them under the stack shards of
-  // the domain captured when they were scheduled, like every delivery and
-  // client issue. The capture hook reads the scheduling thread's ambient
-  // domain, so timer chains inherit their root execution's domain.
-  executor_ = std::make_unique<exec::ThreadedExecutor>(
-      [this](exec::Executor::Action&& action, std::uint64_t ctx) {
-        DomainLock lock(shards_, ctx);
-        DomainScope scope(this, ctx);
-        if (!stopping_.load(std::memory_order_relaxed)) action();
-      },
-      [this] { return context_mask(); });
+  start_executor();
   for (std::uint32_t m = 0; m < n; ++m) {
     workers_.push_back(std::make_unique<Worker>());
     workers_.back()->overflow.resize(segments);
@@ -71,164 +53,24 @@ ThreadedTransport::ThreadedTransport(CostModel model, std::size_t n,
 ThreadedTransport::~ThreadedTransport() { shutdown(); }
 
 void ThreadedTransport::shutdown() {
-  if (shut_down_) return;
-  shut_down_ = true;
-  // Stop the timer loop first (joins its thread: no more timer actions),
-  // then the workers. Pending deliveries are dropped without running — the
-  // protocol objects they point into may be about to die.
-  stopping_.store(true, std::memory_order_release);
-  executor_->stop();
+  if (!begin_shutdown()) return;
   for (auto& worker : workers_) wake(*worker);
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }
 }
 
-void ThreadedTransport::set_up(MachineId machine, bool up) {
-  PASO_REQUIRE(machine.value < up_.size(), "unknown machine");
-  up_[machine.value].store(up, std::memory_order_release);
-}
-
-bool ThreadedTransport::is_up(MachineId machine) const {
-  PASO_REQUIRE(machine.value < up_.size(), "unknown machine");
-  return up_[machine.value].load(std::memory_order_acquire);
-}
-
-void ThreadedTransport::set_obs(obs::Obs o) {
-  // Install before traffic starts (the Cluster does it at construction):
-  // the handle is read on the send path without further synchronization.
-  obs_ = o;
-}
-
-obs::Obs ThreadedTransport::observability() const { return obs_; }
-
-void ThreadedTransport::run_exclusive(const std::function<void()>& fn) {
-  DomainLock lock(shards_, kGlobalDomain);
-  DomainScope scope(this, kGlobalDomain);
-  fn();
-}
-
-void ThreadedTransport::run_scoped(std::uint64_t domain,
-                                   const std::function<void()>& fn) {
-  DomainLock lock(shards_, domain);
-  DomainScope scope(this, domain);
-  fn();
-}
-
-bool ThreadedTransport::context_is_global() const {
-  return context_mask() == kGlobalDomain;
-}
-
-void ThreadedTransport::defer_exclusive(std::function<void()> fn) {
-  // Re-run `fn` outside the current (narrow) domain: hand it to the timer
-  // thread with a forced-global context, so the runner takes every shard.
-  // The scheduling context must be global for the capture hook to record
-  // kGlobalDomain — force it via TLS for the duration of the schedule call.
-  DomainScope scope(this, kGlobalDomain);
-  executor_->schedule_after(0, std::move(fn));
-}
-
-void ThreadedTransport::with_global_context(const std::function<void()>& fn) {
-  // No locks taken: the caller already holds its domain's shards. This only
-  // widens the *advertised* context so nested sends capture the global
-  // domain (used for cross-domain notification hops whose downstream
-  // chains cannot be bounded by the current domain).
-  DomainScope scope(this, kGlobalDomain);
-  fn();
-}
-
-void ThreadedTransport::send(MachineId from, MachineId to,
-                             const std::string& tag, std::size_t bytes,
-                             Delivery deliver) {
-  PASO_REQUIRE(from.value < up_.size() && to.value < up_.size(),
-               "unknown machine");
-  PASO_REQUIRE(deliver != nullptr, "null delivery");
-  if (stopping_.load(std::memory_order_relaxed)) return;
-  if (!is_up(from)) return;  // a crashed machine sends nothing
-
-  // The delivery's domain: everything the sending execution may touch,
-  // widened by the destination. The delivery can then observe (and extend)
-  // exactly the state its cause could — domains only ever widen along a
-  // causal chain.
-  const DomainMask domain = context_mask() | domain_bit(to.value);
-
-  if (from == to) {
-    // Local hand-off: no bus transmission, no cost; runs on the timer
-    // thread (under the stack shards of `domain`) as soon as possible —
-    // the threaded analogue of the simulator's schedule_after(0).
-    DomainScope scope(this, domain);
-    executor_->schedule_after(0, std::move(deliver));
-    return;
-  }
-
-  const std::uint32_t sf = topology_.segment_of(from);
-  const std::uint32_t st = topology_.segment_of(to);
-  const CostModel& src = topology_.segment_model(sf);
-
-  // Model-cost accounting, identical to the simulated bus: the ledger (and
-  // the tracer's per-message records) see the same alpha/beta charges on
-  // either transport. The ledger serializes internally; the obs handles are
-  // only ever touched under the global domain (context_mask() forces global
-  // whenever observability is installed).
-  Cost cost = 0;
-  Cost alpha_part = 0;
-  std::size_t hops = 0;
-  bool shed = false;
-  if (sf == st) {
-    cost = src.message(bytes);
-    alpha_part = src.alpha;
-    enqueue(st, to, Sealed{std::move(deliver), domain}, kUnboundedBridge);
-  } else {
-    const CostModel& dst = topology_.segment_model(st);
-    hops = sf < st ? st - sf : sf - st;
-    const Cost bridge = static_cast<Cost>(hops) * topology_.bridge_cost(bytes);
-    crossings_.fetch_add(1, std::memory_order_relaxed);
-    // Bounded bridge ingress: the destination overflow lane is this
-    // transport's bridge buffer, and it honors the same cap as the sim's
-    // ingress deque. Backpressure degrades to shed here — the sender holds
-    // the stack lock the consuming worker needs for its execute phase, so
-    // blocking for room would deadlock the fabric.
-    const std::size_t cap =
-        topology_.bounded_bridges() ? topology_.bridge_capacity()
-                                    : kUnboundedBridge;
-    shed = !enqueue(st, to, Sealed{std::move(deliver), domain}, cap);
-    if (shed) {
-      // The crossing died at the full ingress: charge the source bus and
-      // the bridge hops that actually carried it, never the destination.
-      cost = src.message(bytes) + bridge;
-      alpha_part =
-          src.alpha + static_cast<Cost>(hops) * topology_.bridge_alpha();
-      bridge_shed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      cost = src.message(bytes) + bridge + dst.message(bytes);
-      alpha_part = src.alpha + dst.alpha +
-                   static_cast<Cost>(hops) * topology_.bridge_alpha();
-    }
-  }
-  ledger_.charge_message(tag, bytes, cost);
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (obs_.metrics != nullptr) {
-    obs_.metrics->counter("net.messages").inc();
-    obs_.metrics->counter("net.bytes").inc(bytes);
-    obs_.metrics->gauge("net.cost.alpha").add(alpha_part);
-    obs_.metrics->gauge("net.cost.beta").add(cost - alpha_part);
-    if (segment_count() > 1) {
-      obs_.metrics->counter("net.segment." + std::to_string(sf) + ".messages")
-          .inc();
-      if (hops > 0) obs_.metrics->counter("net.crossings").inc();
-      if (shed) obs_.metrics->counter("net.bridge.shed").inc();
-    }
-  }
-  if (obs_.tracer != nullptr) {
-    obs_.tracer->record_message(tag, bytes, alpha_part, cost - alpha_part,
-                                executor_->now(), sf, st,
-                                static_cast<std::uint32_t>(hops));
-  }
-}
-
-bool ThreadedTransport::enqueue(std::uint32_t segment, MachineId to,
-                                Sealed sealed, std::size_t cap) {
+bool ThreadedTransport::transmit(MachineId to, const Price& price,
+                                 std::size_t /*bytes*/, Delivery&& deliver,
+                                 DomainMask domain) {
+  // Only crossings meet the bridge cap: intra-segment sends ride the
+  // overflow lane however deep it gets. Backpressure degrades to shed here
+  // — the sender holds the stack shards the consuming worker needs for its
+  // execute phase, so blocking for room would deadlock the fabric.
+  const std::size_t cap = price.crossing() && topology_.bounded_bridges()
+                              ? topology_.bridge_capacity()
+                              : kUnboundedBridge;
+  const std::uint32_t segment = price.to_segment;
   Worker& worker = *workers_[to.value];
   inflight_.fetch_add(1, std::memory_order_acq_rel);
   {
@@ -243,13 +85,15 @@ bool ThreadedTransport::enqueue(std::uint32_t segment, MachineId to,
       std::lock_guard<std::mutex> lock(worker.overflow_mu);
       spill = !worker.overflow[segment].empty();
       if (spill && worker.overflow[segment].size() >= cap) {
-        // Bounded bridge ingress already at capacity: shed. The delivery is
-        // dropped here, under the token, so the lane can never exceed the
-        // cap (the token serializes every producer for this segment).
+        // Bounded bridge ingress already at capacity: shed. Decided here,
+        // under the token, so the lane can never exceed the cap (the token
+        // serializes every producer for this segment).
         inflight_.fetch_sub(1, std::memory_order_acq_rel);
         return false;
       }
     }
+    Sealed sealed{std::move(deliver), domain,
+                  static_cast<std::uint32_t>(to.value)};
     if (!spill) spill = !ring(segment, to.value).try_push(std::move(sealed));
     if (spill) {
       // Ring full (or draining a previous spill): spill to the overflow
@@ -274,7 +118,7 @@ void ThreadedTransport::wake(Worker& worker) {
   }
 }
 
-bool ThreadedTransport::workers_idle() const {
+bool ThreadedTransport::fabric_idle() const {
   for (const auto& worker : workers_) {
     if (worker->busy.load(std::memory_order_acquire)) return false;
   }
@@ -286,7 +130,6 @@ void ThreadedTransport::worker_loop(std::uint32_t machine) {
   const std::size_t segments = topology_.segment_count();
   std::vector<Sealed> batch;
   while (true) {
-    batch.clear();
     // Drain phase (lock-free except the overflow lane): ring first, then
     // overflow — overflow entries are always newer than every ring entry
     // present when they spilled.
@@ -302,25 +145,10 @@ void ThreadedTransport::worker_loop(std::uint32_t machine) {
     }
 
     if (!batch.empty()) {
+      // Deliveries bound for disjoint machine sets execute concurrently
+      // across workers: each holds only its sealed domain's shards.
       worker.busy.store(true, std::memory_order_release);
-      // Execute phase: each delivery runs under the stack shards of its
-      // sealed domain (sender's domain | this machine), so deliveries
-      // bound for disjoint machine sets execute concurrently across
-      // workers. The machine's up check happens at execution time,
-      // mirroring the simulated bus's delivery-time crash drop.
-      for (Sealed& d : batch) {
-        DomainLock lock(shards_, d.domain);
-        DomainScope scope(this, d.domain);
-        if (!stopping_.load(std::memory_order_relaxed) &&
-            up_[machine].load(std::memory_order_acquire)) {
-          d.fn();
-        }
-      }
-      // Deliveries leave "in flight" only after their effects are visible
-      // under the stack lock; busy_ drops last so quiesce() cannot observe
-      // inflight==0 with this worker still mid-batch.
-      inflight_.fetch_sub(batch.size(), std::memory_order_acq_rel);
-      batch.clear();
+      execute(batch);
       worker.busy.store(false, std::memory_order_release);
       continue;
     }
@@ -335,32 +163,6 @@ void ThreadedTransport::worker_loop(std::uint32_t machine) {
     worker.cv.wait_for(lock, std::chrono::microseconds(500));
     worker.parked.store(false, std::memory_order_seq_cst);
   }
-}
-
-bool ThreadedTransport::quiesce(const std::function<bool()>& done,
-                                exec::Time timeout_us) {
-  const exec::Time deadline = executor_->now() + timeout_us;
-  int stable = 0;
-  while (stable < 3) {
-    // Quiet = nothing moving anywhere: no ring/overflow deliveries, no
-    // worker mid-batch, no executor action running, and an *empty* timer
-    // queue. The last test is deliberately `== kNever`, not `> now()`:
-    // protocol chains hop through future-due timers (processing costs,
-    // install costs), and a poll landing between hops would otherwise call
-    // the fabric idle mid-chain. Nothing in the stack schedules perpetual
-    // timers while idle, so an empty queue is reachable; pathological
-    // pollers (an unsatisfiable blocking read) hit the timeout instead.
-    bool quiet = inflight_deliveries() == 0 && workers_idle() &&
-                 !executor_->running_action() &&
-                 executor_->next_due() == exec::kNever;
-    if (quiet && done) {
-      run_exclusive([&] { quiet = done(); });
-    }
-    stable = quiet ? stable + 1 : 0;
-    if (executor_->now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  return true;
 }
 
 }  // namespace paso::net

@@ -8,24 +8,12 @@
 // a message is delivered as soon as its ring hop and the destination worker
 // allow.
 //
-// Model-cost accounting is unchanged: every transmission is charged
-// alpha + beta*|m| (plus bridge hops) to the CostLedger exactly like the
-// simulated bus, so a threaded run's model costs reconcile against a
-// simulated replay of the same op trace (tools/trace_diff asserts this).
-//
-// Concurrency contract (the full memory-order story is docs/threading.md):
-//   * ALL protocol execution — client issues, deliveries, timer callbacks —
-//     runs under the machine-sharded stack lock (net/shard.hpp): every
-//     execution holds the shards of its *domain*, the set of machines it
-//     may touch, acquired in ascending order. Executions with overlapping
-//     domains are mutually excluded (so shared records stay race-free: any
-//     two executions touching a group's record both hold its write group's
-//     shards); executions over disjoint machines run concurrently.
-//     `run_exclusive` takes every shard — the global domain.
-//   * A delivery runs under domain(sender) | bit(destination), captured at
-//     send time; timer actions run under the domain of the context that
-//     scheduled them. A delivery therefore observes everything the send
-//     that caused it observed.
+// Everything but the fabric — the cost charge, the machine-sharded stack
+// lock and its domain rules, the executor, quiesce — is RealClockTransport's
+// (net/real_clock_transport.hpp; docs/threading.md has the memory-order
+// story). The fabric contract:
+//   * Deliveries run on the destination's worker under the stack shards of
+//     the domain sealed at send time.
 //   * The transport fabric itself is concurrent: ring push/pop are
 //     lock-free, the transmit token is a spinlock held only for the push,
 //     and workers drain rings outside the stack shards.
@@ -41,14 +29,11 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "exec/threaded_executor.hpp"
-#include "net/shard.hpp"
+#include "net/real_clock_transport.hpp"
 #include "net/spsc_ring.hpp"
-#include "net/transport.hpp"
 
 namespace paso::net {
 
@@ -58,87 +43,20 @@ struct ThreadedTransportOptions {
   std::size_t ring_capacity = 1024;
 };
 
-class ThreadedTransport final : public Transport {
+class ThreadedTransport final : public RealClockTransport {
  public:
   ThreadedTransport(CostModel model, std::size_t n, Topology topology = {},
                     ThreadedTransportOptions options = {});
   ~ThreadedTransport() override;
 
-  ThreadedTransport(const ThreadedTransport&) = delete;
-  ThreadedTransport& operator=(const ThreadedTransport&) = delete;
-
-  // --- Transport -------------------------------------------------------------
-  void send(MachineId from, MachineId to, const std::string& tag,
-            std::size_t bytes, Delivery deliver) override;
-  void set_up(MachineId machine, bool up) override;
-  bool is_up(MachineId machine) const override;
-  std::size_t machine_count() const override { return up_.size(); }
-  const CostModel& cost_model() const override { return model_; }
-  const Topology& topology() const override { return topology_; }
-  CostLedger& ledger() override { return ledger_; }
-  const CostLedger& ledger() const override { return ledger_; }
-  exec::Executor& executor() override { return *executor_; }
-  const exec::Executor& executor() const override { return *executor_; }
-  void set_obs(obs::Obs o) override;
-  obs::Obs observability() const override;
-  void run_exclusive(const std::function<void()>& fn) override;
-  void run_scoped(std::uint64_t domain,
-                  const std::function<void()>& fn) override;
-  bool context_is_global() const override;
-  void defer_exclusive(std::function<void()> fn) override;
-  void with_global_context(const std::function<void()>& fn) override;
   void shutdown() override;
 
-  // --- threaded-specific observers ------------------------------------------
-  /// Messages pushed but not yet executed (rings + overflow + in workers).
-  std::uint64_t inflight_deliveries() const {
-    return inflight_.load(std::memory_order_acquire);
-  }
-  /// True when no worker is executing or holding popped deliveries.
-  bool workers_idle() const;
-  /// Transmissions / bytes / crossings so far (atomic counters, not the
-  /// ledger: readable without the stack lock).
-  std::uint64_t messages() const {
-    return messages_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytes_sent() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t crossings() const {
-    return crossings_.load(std::memory_order_relaxed);
-  }
   /// Sends that found their ring full and took the overflow path.
   std::uint64_t overflowed() const {
     return overflowed_.load(std::memory_order_relaxed);
   }
-  /// Crossings shed at a full bounded bridge ingress (the overflow lane is
-  /// this transport's bridge buffer; see Topology::with_bridge_limit). Both
-  /// policies shed here — blocking for backpressure would deadlock under
-  /// the stack lock.
-  std::uint64_t bridge_shed() const {
-    return bridge_shed_.load(std::memory_order_relaxed);
-  }
-  const exec::ThreadedExecutor& threaded_executor() const {
-    return *executor_;
-  }
-
-  /// Block until the fabric is quiet: no deliveries in flight, all workers
-  /// idle, no timer action running or pending (the timer queue must drain
-  /// completely — protocol chains hop through future-due timers, so "due
-  /// later" still means "busy"), and `done` (checked under the stack lock;
-  /// may be null) true — stable across a few polls. Returns false on
-  /// timeout (e.g. an unsatisfiable polling blocking read).
-  bool quiesce(const std::function<bool()>& done = {},
-               exec::Time timeout_us = 30'000'000);
 
  private:
-  /// One delivery plus the domain its execution must hold: the sender's
-  /// ambient domain widened by the destination's shard.
-  struct Sealed {
-    Delivery fn;
-    DomainMask domain = kGlobalDomain;
-  };
-
   struct Worker {
     std::thread thread;
     std::mutex mu;
@@ -154,51 +72,24 @@ class ThreadedTransport final : public Transport {
   SpscRing<Sealed>& ring(std::uint32_t segment, std::uint32_t machine) {
     return *rings_[segment * machine_count() + machine];
   }
+  /// Push onto the (destination segment, to) ring, spilling to the overflow
+  /// lane when full. The lane is this transport's bridge ingress buffer: a
+  /// crossing that finds it at the bounded-bridge cap is shed (false).
+  bool transmit(MachineId to, const Price& price, std::size_t bytes,
+                Delivery&& deliver, DomainMask domain) override;
+  /// True when no worker is executing or holding popped deliveries.
+  bool fabric_idle() const override;
   void worker_loop(std::uint32_t machine);
-  /// Push onto the (segment, to) ring, spilling to the overflow lane when
-  /// full. `cap` bounds the lane (kUnboundedBridge = never shed); returns
-  /// false when the delivery was shed at a full lane.
-  bool enqueue(std::uint32_t segment, MachineId to, Sealed sealed,
-               std::size_t cap);
   void wake(Worker& worker);
-  /// The calling thread's ambient domain on THIS transport (global for
-  /// foreign threads). Observability forces global: the tracer's ambient
-  /// op context is inherently single-threaded.
-  DomainMask context_mask() const {
-    if (obs_.metrics != nullptr || obs_.tracer != nullptr) {
-      return kGlobalDomain;
-    }
-    const DomainContext& c = tls_domain();
-    return c.owner == this ? c.mask : kGlobalDomain;
-  }
 
-  CostModel model_;
-  Topology topology_;
-  CostLedger ledger_;
-  obs::Obs obs_;
   ThreadedTransportOptions options_;
-
-  /// THE stack lock, sharded per machine: every protocol step (issue,
-  /// delivery, timer) holds the shards of its domain, ascending.
-  ShardedStackLock shards_;
-
-  std::unique_ptr<exec::ThreadedExecutor> executor_;
-  std::vector<std::atomic<bool>> up_;
   /// Per-segment transmit token: the single-producer guarantee for each
   /// (segment, machine) ring — whoever holds segment s's token is the one
   /// producer for every ring (s, *).
   std::vector<std::unique_ptr<std::atomic_flag>> tokens_;
   std::vector<std::unique_ptr<SpscRing<Sealed>>> rings_;
   std::vector<std::unique_ptr<Worker>> workers_;
-
-  std::atomic<bool> stopping_{false};
-  bool shut_down_ = false;
-  std::atomic<std::uint64_t> inflight_{0};
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> crossings_{0};
   std::atomic<std::uint64_t> overflowed_{0};
-  std::atomic<std::uint64_t> bridge_shed_{0};
 };
 
 }  // namespace paso::net

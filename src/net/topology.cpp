@@ -41,18 +41,25 @@ const CostModel& Topology::segment_model(std::uint32_t segment) const {
   return segments_[segment].model;
 }
 
-Cost Topology::message_cost(MachineId from, MachineId to,
-                            std::size_t bytes) const {
-  if (from == to) return 0;
+Price Topology::price(MachineId from, MachineId to, std::size_t bytes) const {
   PASO_REQUIRE(!degenerate(),
-               "message_cost needs a resolved topology (see resolve())");
-  const std::uint32_t sf = segment_of(from);
-  const std::uint32_t st = segment_of(to);
-  if (sf == st) return segments_[sf].model.message(bytes);
-  const std::size_t h = sf < st ? st - sf : sf - st;
-  return segments_[sf].model.message(bytes) +
-         static_cast<Cost>(h) * bridge_cost(bytes) +
-         segments_[st].model.message(bytes);
+               "pricing needs a resolved topology (see resolve())");
+  Price p;
+  p.from_segment = segment_of(from);
+  p.to_segment = segment_of(to);
+  const CostModel& src = segments_[p.from_segment].model;
+  p.source = src.message(bytes);
+  p.source_alpha = src.alpha;
+  if (p.from_segment != p.to_segment) {
+    const CostModel& dst = segments_[p.to_segment].model;
+    p.hops = static_cast<std::uint32_t>(hops(from, to));
+    p.bridge = static_cast<Cost>(p.hops) *
+               (bridge_alpha_ + bridge_beta_ * static_cast<Cost>(bytes));
+    p.bridge_alpha = static_cast<Cost>(p.hops) * bridge_alpha_;
+    p.destination = dst.message(bytes);
+    p.destination_alpha = dst.alpha;
+  }
+  return p;
 }
 
 Topology Topology::resolve(std::size_t machines,

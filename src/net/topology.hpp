@@ -54,6 +54,33 @@ enum class BridgePolicy {
 /// Sentinel: unbounded bridge buffers (the legacy model).
 inline constexpr std::size_t kUnboundedBridge = SIZE_MAX;
 
+/// One transmission's msg-cost, split into the legs it occupies: the source
+/// bus, the bridge hops, the destination bus (zero on an intra-segment send,
+/// where the source bus is the only bus). Every transport charges total()
+/// and times or admits the message from the same parts, so the model cost
+/// of a send cannot differ between transports.
+struct Price {
+  std::uint32_t from_segment = 0;
+  std::uint32_t to_segment = 0;
+  std::uint32_t hops = 0;
+  Cost source = 0;
+  Cost bridge = 0;
+  Cost destination = 0;
+  Cost source_alpha = 0;
+  Cost bridge_alpha = 0;
+  Cost destination_alpha = 0;
+  /// Died at a full bridge ingress: the source bus and the bridges carried
+  /// it, the destination bus never did, so the destination leg is unpaid.
+  bool shed = false;
+
+  bool crossing() const { return hops > 0; }
+  Cost total() const { return source + bridge + (shed ? 0 : destination); }
+  /// The fixed-overhead share of total(); the rest is the per-byte share.
+  Cost alpha() const {
+    return source_alpha + (shed ? 0 : destination_alpha) + bridge_alpha;
+  }
+};
+
 class Topology {
  public:
   /// Degenerate single-bus topology (the classic model).
@@ -109,17 +136,17 @@ class Topology {
     return sa < sb ? sb - sa : sa - sb;
   }
 
-  /// Per-hop crossing cost for a message of `bytes`.
-  Cost bridge_cost(std::size_t bytes) const {
-    return bridge_alpha_ + bridge_beta_ * static_cast<Cost>(bytes);
-  }
+  /// Price of a transmission between two distinct machines: the source
+  /// segment's alpha + beta*|m|, plus, on a crossing, one bridge cost per
+  /// hop and the destination segment's alpha + beta*|m|. Needs a resolved
+  /// topology (see resolve()).
+  Price price(MachineId from, MachineId to, std::size_t bytes) const;
 
-  /// Model msg-cost of a transmission under this topology: the quantity
-  /// BusNetwork charges. Self-sends are free; intra-segment sends cost the
-  /// segment's alpha + beta*|m|; crossings add both end-segments' costs
-  /// plus one bridge cost per hop. Used by placement and support selection
-  /// to score candidates without a live network.
-  Cost message_cost(MachineId from, MachineId to, std::size_t bytes) const;
+  /// Model msg-cost of a transmission: price(...).total(), and 0 for a
+  /// self-send (a local hand-off never touches a bus).
+  Cost message_cost(MachineId from, MachineId to, std::size_t bytes) const {
+    return from == to ? 0 : price(from, to, bytes).total();
+  }
 
   /// Concrete copy of this topology for a network of `machines` machines:
   /// the degenerate form becomes an explicit one-segment topology running

@@ -1,7 +1,7 @@
 // Transport: the network seam the protocol stack sends through.
 //
 // The PASO stack (GroupService, runtimes, memory servers) is written against
-// this interface. Two implementations exist:
+// this interface. Three implementations exist:
 //
 //   * net::BusNetwork (bus_network.hpp): the paper's serializing bus on the
 //     virtual-time simulator — deterministic, the substrate for tests,
@@ -10,11 +10,17 @@
 //     concurrent transport — one worker thread per machine, bounded
 //     lock-free SPSC delivery rings per (segment, machine), a per-segment
 //     transmit token preserving the bus's one-message-at-a-time semantics.
+//   * net::SocketTransport (socket_transport.hpp): a real-clock transport
+//     with one OS process per machine, every message round-tripping a TCP
+//     wire through its destination's process.
 //
-// Both charge the SAME model costs (alpha + beta*|m| per transmission, per
-// the declared wire size) to the CostLedger, so model-cost accounting stays
-// comparable across transports; only the clock driving delivery differs.
-// tools/trace_diff replays one op trace on both and checks exactly that.
+// The two real-clock transports share one core, net::RealClockTransport
+// (real_clock_transport.hpp). All three price a transmission with
+// Topology::price and charge it with net::charge (below): alpha + beta*|m|
+// per bus plus the bridge hops, by the declared wire size. Model-cost
+// accounting is therefore identical across transports by construction;
+// only the clock driving delivery differs. tools/trace_diff replays one op
+// trace on all three and checks exactly that.
 #pragma once
 
 #include <algorithm>
@@ -176,6 +182,15 @@ class CostLedger {
   std::map<std::string, TrafficStats> per_tag_;
 };
 
+/// Charge one priced transmission: the ledger (total() under `tag`), the
+/// `net.*` metrics and the tracer's per-message alpha/beta record. Every
+/// transport calls this and nothing else to account a send, so the model
+/// cost of a transmission is the same on all of them by construction.
+/// Builds no string and reads no clock unless observability is installed.
+void charge(CostLedger& ledger, const obs::Obs& obs, const Topology& topology,
+            const exec::Executor& clock, const std::string& tag,
+            std::size_t bytes, const Price& price);
+
 /// The protocol stack's view of the network: point-to-point sends with
 /// model-cost accounting, machine up/down state, and the executor that
 /// drives this transport's timers and deliveries.
@@ -213,9 +228,8 @@ class Transport {
   virtual exec::Executor& executor() = 0;
   virtual const exec::Executor& executor() const = 0;
 
-  /// Install (or clear) the observability handle. The transport is the
-  /// single charge site for msg-cost, so this is where every transmission
-  /// gets its alpha/beta decomposition recorded.
+  /// Install (or clear) the observability handle that net::charge records
+  /// every transmission's alpha/beta decomposition into.
   virtual void set_obs(obs::Obs o) = 0;
   virtual obs::Obs observability() const = 0;
 

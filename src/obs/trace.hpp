@@ -95,7 +95,7 @@ class OpTracer {
   void finish(TraceId trace, std::string status, MachineId machine,
               sim::SimTime at);
 
-  /// Called by BusNetwork for every charged transmission; attributes the
+  /// Called by net::charge for every charged transmission; attributes the
   /// message to the currently active trace context. The segment/hop
   /// arguments carry the route on a multi-segment topology (all zero on
   /// the single bus).

@@ -30,7 +30,7 @@ Cluster::Cluster(Schema schema, ClusterConfig config)
     auto threaded = std::make_unique<net::ThreadedTransport>(
         config_.cost_model, config_.machines, config_.topology,
         config_.threaded);
-    threaded_ = threaded.get();
+    real_clock_ = threaded.get();
     transport_ = std::move(threaded);
   } else if (config_.transport == TransportKind::kSocket) {
     // Forks one process per machine (before this constructor creates any
@@ -38,7 +38,7 @@ Cluster::Cluster(Schema schema, ClusterConfig config)
     auto socket = std::make_unique<net::SocketTransport>(
         config_.cost_model, config_.machines, config_.topology,
         config_.socket);
-    socket_ = socket.get();
+    real_clock_ = socket.get();
     transport_ = std::move(socket);
   } else {
     auto bus = std::make_unique<net::BusNetwork>(
@@ -109,14 +109,14 @@ Cluster::Cluster(Schema schema, ClusterConfig config)
 
   if (config_.observe) enable_observability();
 
-  if (socket_ != nullptr) {
+  if (config_.transport == TransportKind::kSocket) {
     // A machine *process* dying (kill -9, crash, wedge past the heartbeat
     // timeout) becomes a protocol-level crash on the same path as an
     // explicit Cluster::crash: view changes expel it, robust operations
     // re-route, and the crash log records it for the checker. The hook
     // fires from the transport's IO/monitor threads with no transport
     // locks held, so taking the stack lock via crash() is safe.
-    socket_->set_peer_death_hook(
+    socket_transport().set_peer_death_hook(
         [this](MachineId machine, const std::string& /*reason*/) {
           if (transport_->is_up(machine)) crash(machine);
         });
@@ -358,11 +358,12 @@ void Cluster::crash(MachineId m) {
 }
 
 void Cluster::recover(MachineId m, std::function<void()> initialized) {
-  if (socket_ != nullptr && !socket_->endpoint_alive(m)) {
+  if (config_.transport == TransportKind::kSocket &&
+      !socket_transport().endpoint_alive(m)) {
     // The machine's process is gone (that's usually why it crashed): give
     // it a fresh one before the protocol-level re-join. Blocks on the
     // spawn handshake, so it must happen outside the stack lock.
-    PASO_REQUIRE(socket_->respawn(m),
+    PASO_REQUIRE(socket_transport().respawn(m),
                  "machine process respawn failed; cannot recover");
   }
   transport_->run_exclusive([this, m,
@@ -592,11 +593,7 @@ void Cluster::settle() {
     simulator_.run();
     return;
   }
-  if (threaded_ != nullptr) {
-    threaded_->quiesce();
-  } else {
-    socket_->quiesce();
-  }
+  real_clock_->quiesce();
 }
 
 void Cluster::settle_for(sim::SimTime duration) {

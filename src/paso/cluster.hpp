@@ -97,16 +97,24 @@ class Cluster {
     PASO_REQUIRE(bus_ != nullptr, "not a simulated-bus cluster");
     return *bus_;
   }
-  /// The threaded transport (quiesce, fabric counters). Threaded only.
-  net::ThreadedTransport& threaded_transport() {
-    PASO_REQUIRE(threaded_ != nullptr, "not a threaded cluster");
-    return *threaded_;
+  /// The real-clock transport (quiesce, fabric counters). Threaded and
+  /// socket clusters.
+  net::RealClockTransport& real_clock_transport() {
+    PASO_REQUIRE(real_clock_ != nullptr, "not a real-clock cluster");
+    return *real_clock_;
   }
-  /// The socket transport (child pids, supervisor, respawn, fabric
+  /// The threaded transport (ring overflow counter). Threaded only.
+  net::ThreadedTransport& threaded_transport() {
+    auto* threaded = dynamic_cast<net::ThreadedTransport*>(real_clock_);
+    PASO_REQUIRE(threaded != nullptr, "not a threaded cluster");
+    return *threaded;
+  }
+  /// The socket transport (child pids, supervisor, respawn, wire
   /// counters). Socket clusters only.
   net::SocketTransport& socket_transport() {
-    PASO_REQUIRE(socket_ != nullptr, "not a socket cluster");
-    return *socket_;
+    auto* socket = dynamic_cast<net::SocketTransport*>(real_clock_);
+    PASO_REQUIRE(socket != nullptr, "not a socket cluster");
+    return *socket;
   }
   vsync::GroupService& groups() { return *groups_; }
   net::CostLedger& ledger() { return transport_->ledger(); }
@@ -212,8 +220,8 @@ class Cluster {
                                     BlockingMode mode, sim::SimTime deadline);
 
   /// Let the cluster go quiet: drain the simulator's event queue (kSim) or
-  /// block until the threaded fabric has no deliveries in flight
-  /// (kThreaded; bounded wait, see ThreadedTransport::quiesce).
+  /// block until the real-clock fabric has no deliveries in flight
+  /// (bounded wait, see RealClockTransport::quiesce).
   void settle();
   /// Run for `duration` virtual time units (kSim) / microseconds (kThreaded).
   void settle_for(sim::SimTime duration);
@@ -246,8 +254,8 @@ class Cluster {
   std::unique_ptr<obs::Observability> obs_;
   std::unique_ptr<net::Transport> transport_;
   net::BusNetwork* bus_ = nullptr;            ///< transport_ when kSim
-  net::ThreadedTransport* threaded_ = nullptr;  ///< transport_ when kThreaded
-  net::SocketTransport* socket_ = nullptr;      ///< transport_ when kSocket
+  /// transport_ when kThreaded or kSocket
+  net::RealClockTransport* real_clock_ = nullptr;
   std::unique_ptr<vsync::GroupService> groups_;
   semantics::HistoryRecorder history_;
   /// Owned here, not by the servers: crash_reset wipes a server's memory,
