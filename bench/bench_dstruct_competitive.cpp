@@ -76,9 +76,12 @@ int main() {
 
   print_header("Store-backed q: what the real structures cost "
                "(Section 5's three families)");
-  std::printf("  hash table:   I=1 D=1 Q=1      -> Theorem 2 regime\n");
-  std::printf("  search tree:  I=1 D=1 Q=log l  -> this extension, q=log l\n");
-  std::printf("  linear list:  I=1 D=l Q=l      -> scan regime (q=l)\n");
+  std::printf("  hash table:   I=1 D=1 Q=1                   -> Theorem 2 "
+              "regime\n");
+  std::printf("  search tree:  I=2 D=2 Q=1+floor(log2(l+1))  -> this "
+              "extension, q=Q/2 in units of I=D\n");
+  std::printf("  linear list:  I=1 D=l Q=l                   -> scan regime "
+              "(q=l)\n");
 
   JsonLine("dstruct_competitive")
       .field("config", std::string{"extension_sweep"})

@@ -1,19 +1,19 @@
 // Micro-benchmarks of the local stores backing the memory servers: real
 // wall-clock cost of store_M / mem-read_M / remove_M at various sizes, plus
 // the criterion-match probe counts that the multi-field index is supposed to
-// crush. The model costs (1, log l, l) should be visible in the scaling of
-// each store family, and IndexedStore must answer non-key-field criteria
-// with far fewer probes than an age scan.
+// crush. The configurations: "hash" = IndexedStore({0}), "ordered" =
+// IndexedStore({0}) with its sorted twin, "linear" = LinearStore, "indexed"
+// = IndexedStore({0, 1}). The model costs (1, log l, l) should be visible in
+// the scaling of the first three, and the two-field index must answer
+// non-key-field criteria with far fewer probes than an age scan.
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 
 #include "bench/bench_util.hpp"
-#include "storage/hash_store.hpp"
 #include "storage/indexed_store.hpp"
 #include "storage/linear_store.hpp"
-#include "storage/ordered_store.hpp"
 
 using namespace paso;
 using namespace paso::bench;
@@ -24,8 +24,13 @@ namespace {
 constexpr const char* kKinds[] = {"hash", "ordered", "linear", "indexed"};
 
 std::unique_ptr<ObjectStore> make_store(const std::string& kind) {
-  if (kind == "hash") return std::make_unique<HashStore>(0);
-  if (kind == "ordered") return std::make_unique<OrderedStore>(0);
+  if (kind == "hash") {
+    return std::make_unique<IndexedStore>(std::vector<std::size_t>{0});
+  }
+  if (kind == "ordered") {
+    return std::make_unique<IndexedStore>(
+        std::vector<std::size_t>{0}, IndexedStore::Options{.ordered = true});
+  }
   if (kind == "indexed") {
     return std::make_unique<IndexedStore>(std::vector<std::size_t>{0, 1});
   }
@@ -54,8 +59,8 @@ struct ProbeRow {
   std::uint64_t probes_per_op = 0;
 };
 
-/// Query by a non-key-field criterion (field 1, which only IndexedStore
-/// indexes): the case the age scan pays for dearly.
+/// Query by a non-key-field criterion (field 1, which only the "indexed"
+/// configuration indexes): the case the age scan pays for dearly.
 ProbeRow bench_non_key_query(ObjectStore& store, std::int64_t size,
                              std::uint64_t ops) {
   const SearchCriterion sc = criterion(

@@ -14,9 +14,8 @@
 #include <cmath>
 
 #include "bench/bench_util.hpp"
-#include "storage/hash_store.hpp"
+#include "storage/indexed_store.hpp"
 #include "storage/linear_store.hpp"
-#include "storage/ordered_store.hpp"
 
 using namespace paso;
 using namespace paso::bench;
@@ -224,9 +223,18 @@ int main() {
     const char* analytic;
   };
   const Family families[] = {
-      {"hash", [] { return std::make_unique<storage::HashStore>(0); }, "1"},
+      {"hash",
+       [] {
+         return std::make_unique<storage::IndexedStore>(
+             std::vector<std::size_t>{0});
+       },
+       "1"},
       {"ordered",
-       [] { return std::make_unique<storage::OrderedStore>(0); },
+       [] {
+         return std::make_unique<storage::IndexedStore>(
+             std::vector<std::size_t>{0},
+             storage::IndexedStore::Options{.ordered = true});
+       },
        "1 + floor(log2(l+1))"},
       {"linear", [] { return std::make_unique<storage::LinearStore>(); },
        "l"},

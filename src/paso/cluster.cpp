@@ -10,7 +10,7 @@
 
 #include "net/shard.hpp"
 #include "paso/placement.hpp"
-#include "storage/hash_store.hpp"
+#include "storage/indexed_store.hpp"
 
 namespace paso {
 
@@ -21,7 +21,7 @@ Cluster::Cluster(Schema schema, ClusterConfig config)
                "lambda must be below the machine count");
   if (!config_.store_factory) {
     config_.store_factory = [](ClassId) {
-      return std::make_unique<storage::HashStore>(0);
+      return std::make_unique<storage::IndexedStore>();
     };
   }
   config_.runtime.lambda = config_.lambda;

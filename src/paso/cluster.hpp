@@ -62,9 +62,10 @@ struct ClusterConfig {
   net::Topology topology{};
   vsync::GroupService::Options vsync{};
   RuntimeConfig runtime{};
-  /// One store per (server, class); defaults to HashStore on field 0.
-  /// Takes the ClassId so different classes can use different structures
-  /// (e.g. OrderedStore for a range-query class).
+  /// One store per (server, class); defaults to the hash-table store,
+  /// IndexedStore({0}). Takes the ClassId so different classes can use
+  /// different structures (e.g. IndexedStore({0}, {.ordered = true}) for a
+  /// range-query class, LinearStore for a text-scan class).
   MemoryServer::ClassStoreFactory store_factory;
   bool record_history = true;
   /// Create the metrics registry + op tracer at construction and install

@@ -1,76 +1,10 @@
 #include "paso/fault_injector.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
 namespace paso {
-
-FaultInjector::FaultInjector(Cluster& cluster, Options options)
-    : cluster_(cluster), options_(options), rng_(options.seed) {
-  if (options_.max_down == SIZE_MAX) {
-    options_.max_down = cluster_.lambda();
-  }
-  PASO_REQUIRE(options_.max_down <= cluster_.lambda(),
-               "injector would exceed the lambda fault model");
-}
-
-sim::SimTime FaultInjector::exponential(sim::SimTime mean) {
-  // Inverse CDF; clamp the uniform away from 0 to avoid infinities.
-  const double u = std::max(rng_.uniform01(), 1e-12);
-  return -mean * std::log(u);
-}
-
-void FaultInjector::start() {
-  if (running_) return;
-  running_ = true;
-  schedule_next_crash();
-}
-
-void FaultInjector::schedule_next_crash() {
-  if (!running_) return;
-  cluster_.simulator().schedule_after(
-      exponential(options_.mean_time_between_failures),
-      [this] { attempt_crash(); });
-}
-
-void FaultInjector::attempt_crash() {
-  if (!running_) return;
-  if (down_.size() < options_.max_down) {
-    // Pick an up, non-immune machine uniformly.
-    std::vector<std::uint32_t> candidates;
-    for (std::uint32_t m = 0; m < cluster_.machine_count(); ++m) {
-      if (options_.immune.contains(m) || down_.contains(m)) continue;
-      if (!cluster_.is_up(MachineId{m})) continue;
-      candidates.push_back(m);
-    }
-    if (!candidates.empty()) {
-      const std::uint32_t victim = rng_.pick(candidates);
-      cluster_.crash(MachineId{victim});
-      down_.insert(victim);
-      ++crashes_;
-      // Downtime floor: detection must complete before re-joining, and the
-      // paper's initialization phase is bounded below.
-      const sim::SimTime floor =
-          cluster_.groups().options().failure_detection_delay * 2 + 1;
-      const sim::SimTime downtime = floor + exponential(options_.mean_repair_time);
-      cluster_.simulator().schedule_after(
-          downtime, [this, victim] { recover(victim); });
-    }
-  }
-  schedule_next_crash();
-}
-
-void FaultInjector::recover(std::uint32_t machine) {
-  if (!down_.contains(machine)) return;
-  // The machine stays "faulty" (in down_, counted against max_down) until
-  // its initialization phase completes — Section 3.1's accounting.
-  cluster_.recover(MachineId{machine}, [this, machine] {
-    down_.erase(machine);
-    ++recoveries_;
-  });
-}
 
 // ---------------------------------------------------------------------------
 // ChaosSchedule

@@ -1,18 +1,15 @@
 // Fault injection (Section 3.1's fault model, driven).
 //
-// Two drivers share this file. FaultInjector crashes machines at
-// exponentially distributed intervals and recovers them after a downtime
-// that respects both the failure-detection delay (a machine cannot serve
-// with erased memory before the membership service has expelled it) and the
-// paper's "initialization phase lasts minutes" floor; it never exceeds
-// `max_down` simultaneous failures — the lambda-bounded fault model under
-// which the system promises safety. ChaosSchedule / ChaosEngine are the
-// deterministic counterpart: a replayable timeline of crash, recover,
-// message-delay and message-drop events, either written out explicitly or
-// generated from a seed, applied to the cluster with every decision logged
-// so two runs of the same seed can be compared event for event. Soak tests
-// and benches run workloads under one of the drivers and then check the
-// Section 2 axioms.
+// ChaosSchedule / ChaosEngine drive every fault run: a replayable timeline
+// of crash, recover, message-delay, message-drop, disk and bridge-partition
+// events, either written out explicitly or generated from a seed, applied
+// to the cluster with every decision logged so two runs of the same seed
+// can be compared event for event. The engine keeps a run inside the
+// lambda-bounded fault model under which the system promises safety: it
+// never exceeds the fault budget, and a recovery waits out the
+// failure-detection delay (a machine cannot serve with erased memory before
+// the membership service has expelled it). Soak tests and benches run
+// workloads under a schedule and then check the Section 2 axioms.
 #pragma once
 
 #include <cstdint>
@@ -24,49 +21,6 @@
 #include "paso/cluster.hpp"
 
 namespace paso {
-
-class FaultInjector {
- public:
-  struct Options {
-    /// Mean virtual time between crash attempts (exponential).
-    sim::SimTime mean_time_between_failures = 5000;
-    /// Mean downtime beyond the mandatory floor (exponential).
-    sim::SimTime mean_repair_time = 2000;
-    /// Machines that never crash (e.g. the workload driver's home).
-    std::set<std::uint32_t> immune;
-    /// Cap on simultaneous failures; defaults to the cluster's lambda.
-    std::size_t max_down = SIZE_MAX;
-    std::uint64_t seed = 1;
-  };
-
-  FaultInjector(Cluster& cluster, Options options);
-
-  /// Begin scheduling crashes. Idempotent.
-  void start();
-  /// Stop scheduling new crashes; machines already down still recover.
-  void stop() { running_ = false; }
-
-  std::uint64_t crashes() const { return crashes_; }
-  std::uint64_t recoveries() const { return recoveries_; }
-  std::size_t currently_down() const { return down_.size(); }
-
- private:
-  void schedule_next_crash();
-  void attempt_crash();
-  void recover(std::uint32_t machine);
-  sim::SimTime exponential(sim::SimTime mean);
-
-  Cluster& cluster_;
-  Options options_;
-  Rng rng_;
-  bool running_ = false;
-  std::set<std::uint32_t> down_;
-  std::uint64_t crashes_ = 0;
-  std::uint64_t recoveries_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Deterministic chaos schedules
 
 /// One event on a chaos timeline. Times are absolute virtual times.
 struct ChaosEvent {

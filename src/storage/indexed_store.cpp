@@ -2,9 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
 
 namespace paso::storage {
+
+namespace {
+
+/// Calls `visit` once per distinct bucket key of an Exact or non-empty OneOf
+/// pattern and returns true; returns false for every other pattern. Exact —
+/// the per-read case — visits without allocating.
+template <typename Visit>
+bool for_each_hash_key(const FieldPattern& pattern, Visit&& visit) {
+  if (const auto* exact = std::get_if<Exact>(&pattern)) {
+    visit(value_hash(exact->value));
+    return true;
+  }
+  const auto* one_of = std::get_if<OneOf>(&pattern);
+  if (one_of == nullptr || one_of->values.empty()) return false;
+  // Repeated (or hash-colliding) values must not rescan a bucket.
+  std::vector<std::size_t> keys;
+  keys.reserve(one_of->values.size());
+  for (const Value& v : one_of->values) keys.push_back(value_hash(v));
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (const std::size_t key : keys) visit(key);
+  return true;
+}
+
+}  // namespace
 
 IndexedStore::IndexedStore(std::vector<std::size_t> indexed_fields)
     : IndexedStore(std::move(indexed_fields), Options()) {}
@@ -47,34 +71,15 @@ Cost IndexedStore::query_cost() const {
 }
 
 void IndexedStore::store(PasoObject object, std::uint64_t age) {
-  // Capture the indexed values before the object is moved into the backbone.
-  std::vector<std::tuple<std::size_t, std::size_t, Value>> entries;
-  entries.reserve(indexes_.size());
-  for (std::size_t i = 0; i < indexes_.size(); ++i) {
-    if (indexes_[i].field < object.fields.size()) {
-      const Value& value = object.fields[indexes_[i].field];
-      entries.emplace_back(i, value_hash(value), value);
-    }
-  }
-  if (!base_store(std::move(object), age)) return;
-  for (auto& [i, hash, value] : entries) {
-    FieldIndex& index = indexes_[i];
-    index.buckets[hash].push_back(age);
-    if (options_.ordered) index.sorted[std::move(value)].push_back(age);
+  const PasoObject* stored = base_store(std::move(object), age);
+  if (stored == nullptr) return;
+  for (FieldIndex& index : indexes_) {
+    if (index.field >= stored->fields.size()) continue;
+    const Value& value = stored->fields[index.field];
+    index.buckets[value_hash(value)].push_back(age);
+    if (options_.ordered) index.sorted[value].push_back(age);
     ++index.entries;
   }
-}
-
-std::vector<std::size_t> IndexedStore::hash_keys(const FieldPattern& pattern) {
-  std::vector<std::size_t> keys;
-  if (const auto* exact = std::get_if<Exact>(&pattern)) {
-    keys.push_back(value_hash(exact->value));
-  } else if (const auto* one_of = std::get_if<OneOf>(&pattern)) {
-    for (const Value& v : one_of->values) keys.push_back(value_hash(v));
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  }
-  return keys;
 }
 
 const IndexedStore::FieldIndex& IndexedStore::index_of(
@@ -107,60 +112,76 @@ IndexedStore::SortedIter IndexedStore::region_last(
   return it;
 }
 
-QueryPlan IndexedStore::plan(const SearchCriterion& sc) const {
-  std::vector<PlanStep> paths;
+template <typename Emit>
+void IndexedStore::visit_paths(const SearchCriterion& sc, Emit&& emit) const {
   for (const FieldIndex& index : indexes_) {
     if (index.field >= sc.fields.size()) continue;
     const FieldPattern& pattern = sc.fields[index.field];
-    const std::vector<std::size_t> keys = hash_keys(pattern);
-    if (!keys.empty()) {
-      // Exact/OneOf: the hash buckets give an exact candidate count.
-      std::size_t candidates = 0;
-      for (const std::size_t key : keys) {
-        auto it = index.buckets.find(key);
-        if (it != index.buckets.end()) candidates += it->second.size();
-      }
-      paths.push_back({index.field, false, candidates});
+    // Exact/OneOf: the hash buckets give an exact candidate count.
+    std::size_t candidates = 0;
+    const bool hashed = for_each_hash_key(pattern, [&](std::size_t key) {
+      auto it = index.buckets.find(key);
+      if (it != index.buckets.end()) candidates += it->second.size();
+    });
+    if (hashed) {
+      emit(PlanStep{index.field, false, candidates});
       continue;
     }
     if (!options_.ordered) continue;
     const SortedRegion region = sorted_region(pattern);
     if (region.empty) {
-      paths.push_back({index.field, true, 0});  // provably no match
+      emit(PlanStep{index.field, true, 0});  // provably no match
       continue;
     }
     if (!region.usable) continue;
-    std::size_t candidates = 0;
-    const SortedIter first = region_first(index, region);
-    for (SortedIter it = first; it != index.sorted.end(); ++it) {
+    for (SortedIter it = region_first(index, region);
+         it != index.sorted.end(); ++it) {
       if (!region_contains_key(region, it->first)) break;
       candidates += it->second.size();
     }
-    paths.push_back({index.field, true, candidates});
+    emit(PlanStep{index.field, true, candidates});
   }
+}
+
+QueryPlan IndexedStore::plan(const SearchCriterion& sc) const {
+  std::vector<PlanStep> paths;
+  visit_paths(sc, [&paths](const PlanStep& step) { paths.push_back(step); });
   return finalize_plan(arity_count(sc.fields.size()) > 0, std::move(paths));
+}
+
+PlanAccess IndexedStore::choose_driver(const SearchCriterion& sc,
+                                       PlanStep& driver) const {
+  const bool arity_present = arity_count(sc.fields.size()) > 0;
+  bool found = false;
+  if (arity_present) {
+    visit_paths(sc, [&](const PlanStep& step) {
+      if (!found || plan_step_before(step, driver)) driver = step;
+      found = true;
+    });
+  }
+  return plan_access(arity_present, found ? &driver : nullptr);
 }
 
 std::optional<std::uint64_t> IndexedStore::oldest_match(
     const SearchCriterion& sc) const {
   if (sc.top_k && !sc.ranked_valid()) return std::nullopt;
-  const QueryPlan query_plan = plan(sc);
-  if (query_plan.access == PlanAccess::kImpossible) return std::nullopt;
-  if (query_plan.access == PlanAccess::kScan) {
+  PlanStep driver;
+  const PlanAccess access = choose_driver(sc, driver);
+  if (access == PlanAccess::kImpossible) return std::nullopt;
+  if (access == PlanAccess::kScan) {
     if (sc.top_k) return ranked_walk_or_scan(sc);
     for (const auto& [age, object] : by_age_) {
       if (probe(sc, object)) return age;
     }
     return std::nullopt;
   }
-  const PlanStep& driver = query_plan.steps.front();
   if (sc.top_k) return ranked_from_index(sc, driver);
   const FieldIndex& index = index_of(driver.field);
   std::optional<std::uint64_t> best;
   if (!driver.ordered) {
-    for (const std::size_t key : hash_keys(sc.fields[index.field])) {
+    for_each_hash_key(sc.fields[index.field], [&](std::size_t key) {
       auto it = index.buckets.find(key);
-      if (it == index.buckets.end()) continue;
+      if (it == index.buckets.end()) return;
       // Buckets are age-ascending: the first verified hit is the bucket's
       // oldest match; take the minimum across buckets.
       for (const std::uint64_t age : it->second) {
@@ -170,7 +191,7 @@ std::optional<std::uint64_t> IndexedStore::oldest_match(
         if (!best || age < *best) best = age;
         break;
       }
-    }
+    });
     return best;
   }
   // Sorted walk: same shape — each key's age list is ascending, so the
@@ -204,11 +225,11 @@ std::optional<std::uint64_t> IndexedStore::ranked_from_index(
   // probe each, rank the matches.
   std::vector<std::uint64_t> ages;
   if (!driver.ordered) {
-    for (const std::size_t key : hash_keys(sc.fields[index.field])) {
+    for_each_hash_key(sc.fields[index.field], [&](std::size_t key) {
       auto it = index.buckets.find(key);
-      if (it == index.buckets.end()) continue;
+      if (it == index.buckets.end()) return;
       ages.insert(ages.end(), it->second.begin(), it->second.end());
-    }
+    });
   } else {
     const SortedRegion region = sorted_region(sc.fields[index.field]);
     for (SortedIter it = region_first(index, region);

@@ -1,5 +1,6 @@
-// Multi-field associative store: HashStore generalized to a configurable
-// set of indexed fields, with an optional sorted twin per index.
+// The associative store: hash tables and search trees over a configurable
+// set of indexed fields — two of Section 5's three data structures in one
+// class (LinearStore is the third).
 //
 // Section 5 allows "several such data structures ... for a single class";
 // IndexedStore takes that to its useful extreme. Each indexed field keeps a
@@ -12,6 +13,12 @@
 // arity-completeness early-out. Criteria touching no indexed field still
 // fall back to the age scan, so every criterion LinearStore answers is
 // answered identically here (the differential-oracle test pins this).
+//
+// Two settings give the paper's two indexed structures:
+//   * IndexedStore({0})                    — the hash table for dictionary
+//     queries: I = Q = D = 1.
+//   * IndexedStore({0}, {.ordered = true}) — the search tree for range
+//     queries: Q = 1 + floor(log2(l+1)), I = D = 2.
 #pragma once
 
 #include <map>
@@ -40,8 +47,8 @@ class IndexedStore final : public StoreBase {
   };
 
   /// `indexed_fields` lists the field positions to index. The default — just
-  /// field 0 — makes IndexedStore a drop-in for HashStore(0). Duplicate
-  /// positions are collapsed.
+  /// field 0 — is the hash-table store every class gets unless configured
+  /// otherwise. Duplicate positions are collapsed.
   explicit IndexedStore(std::vector<std::size_t> indexed_fields = {0});
   IndexedStore(std::vector<std::size_t> indexed_fields, Options options);
 
@@ -68,7 +75,8 @@ class IndexedStore final : public StoreBase {
   std::vector<IndexStats> index_stats() const;
 
   /// The access path a criterion would take right now (exposed for tests,
-  /// benches and docs; find/remove use exactly this).
+  /// benches and docs). find/remove drive from this plan's front step,
+  /// chosen by the same policy without building the step list.
   QueryPlan plan(const SearchCriterion& sc) const;
 
  private:
@@ -87,6 +95,12 @@ class IndexedStore final : public StoreBase {
       std::map<Value, std::vector<std::uint64_t>>::const_iterator;
 
   void index_cleared() override;
+  /// Emits one PlanStep per index that can serve `sc`, in field order.
+  template <typename Emit>
+  void visit_paths(const SearchCriterion& sc, Emit&& emit) const;
+  /// plan(sc)'s access, with its front step written to `driver` when the
+  /// access is kIndex.
+  PlanAccess choose_driver(const SearchCriterion& sc, PlanStep& driver) const;
   std::optional<std::uint64_t> oldest_match(const SearchCriterion& sc) const;
   /// Ranked read driven by an index path (hash bucket enumeration or a
   /// rank-ordered sorted walk when the driver is the rank field).
@@ -103,8 +117,6 @@ class IndexedStore final : public StoreBase {
   std::optional<std::uint64_t> ranked_walk_or_scan(
       const SearchCriterion& sc) const;
   const FieldIndex& index_of(std::size_t field) const;
-  /// Sorted-unique bucket keys for an Exact/OneOf pattern.
-  static std::vector<std::size_t> hash_keys(const FieldPattern& pattern);
   SortedIter region_first(const FieldIndex& index,
                           const SortedRegion& region) const;
   SortedIter region_last(const FieldIndex& index, const SortedRegion& region,

@@ -6,10 +6,14 @@
 // (Section 4.2), where age is gcast delivery order, identical on every
 // replica thanks to total ordering.
 //
-// The paper's Section 5 names three data-structure families, reflected here:
-//   * HashStore    — dictionary queries, I(.) = D(.) = Q(.) = O(1)
-//   * OrderedStore — range queries on a key field (search tree), Q = q > 1
-//   * LinearStore  — text pattern matching by scan, Q = Theta(l)
+// The paper's Section 5 names three data structures, reflected here by two
+// store classes:
+//   * IndexedStore({0})                    — hash table for dictionary
+//     queries, I(.) = D(.) = Q(.) = 1
+//   * IndexedStore({0}, {.ordered = true}) — search tree for range queries
+//     on a key field, Q = 1 + floor(log2(l+1)), I(.) = D(.) = 2
+//   * LinearStore                          — text pattern matching by scan,
+//     Q = Theta(l)
 // Every store reports *model* costs (the I/Q/D functions used in Figure 1
 // and in Section 5's normalization) alongside doing real work; benches
 // measure both.
@@ -78,7 +82,7 @@ class ObjectStore {
   /// counter across store kinds.
   virtual std::uint64_t match_probes() const { return 0; }
 
-  /// Short name for diagnostics ("hash", "ordered", "linear").
+  /// Short name for diagnostics ("indexed", "linear").
   virtual const char* kind() const = 0;
 };
 

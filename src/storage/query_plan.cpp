@@ -5,40 +5,35 @@
 
 namespace paso::storage {
 
+bool plan_step_before(const PlanStep& a, const PlanStep& b) {
+  if (a.estimate != b.estimate) return a.estimate < b.estimate;
+  if (a.ordered != b.ordered) return !a.ordered;
+  return a.field < b.field;
+}
+
+PlanAccess plan_access(bool arity_present, const PlanStep* driver) {
+  if (!arity_present) return PlanAccess::kImpossible;
+  if (driver == nullptr) return PlanAccess::kScan;
+  return driver->estimate == 0 ? PlanAccess::kImpossible : PlanAccess::kIndex;
+}
+
 QueryPlan finalize_plan(bool arity_present, std::vector<PlanStep> paths) {
+  std::sort(paths.begin(), paths.end(), plan_step_before);
   QueryPlan plan;
-  if (!arity_present) {
-    plan.access = PlanAccess::kImpossible;
-    plan.reason = "arity";
-    return plan;
+  plan.access =
+      plan_access(arity_present, paths.empty() ? nullptr : &paths.front());
+  switch (plan.access) {
+    case PlanAccess::kImpossible:
+      plan.reason = arity_present ? "empty-index" : "arity";
+      break;
+    case PlanAccess::kScan:
+      plan.reason = "scan";
+      break;
+    case PlanAccess::kIndex:
+      plan.reason = "index";
+      plan.steps = std::move(paths);
+      break;
   }
-  for (const PlanStep& step : paths) {
-    if (step.estimate == 0) {
-      plan.access = PlanAccess::kImpossible;
-      plan.reason = "empty-index";
-      return plan;
-    }
-  }
-  if (paths.empty()) {
-    plan.access = PlanAccess::kScan;
-    plan.reason = "scan";
-    return plan;
-  }
-  // Selectivity-ascending; hash buckets beat sorted walks at equal
-  // estimates (cheaper candidate enumeration), field position breaks the
-  // remaining ties. stable_sort on an already field-ordered input makes the
-  // whole order deterministic.
-  std::stable_sort(paths.begin(), paths.end(),
-                   [](const PlanStep& a, const PlanStep& b) {
-                     if (a.estimate != b.estimate) {
-                       return a.estimate < b.estimate;
-                     }
-                     if (a.ordered != b.ordered) return !a.ordered;
-                     return a.field < b.field;
-                   });
-  plan.access = PlanAccess::kIndex;
-  plan.reason = "index";
-  plan.steps = std::move(paths);
   return plan;
 }
 

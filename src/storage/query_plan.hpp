@@ -45,9 +45,20 @@ struct QueryPlan {
   std::vector<PlanStep> steps;  // selectivity-ascending; front() drives
 };
 
-/// Applies the shared plan policy to the paths a store collected (in field
-/// order). `arity_present` is the store's arity-histogram check for the
-/// criterion's arity.
+/// The selectivity order: estimate ascending, hash buckets before sorted
+/// walks at equal estimates (cheaper candidate enumeration), then field
+/// position. A store offers at most one path per field, so this order is
+/// total and the plan is deterministic.
+bool plan_step_before(const PlanStep& a, const PlanStep& b);
+
+/// The shared plan policy given the most selective path (`driver`, null
+/// when no index serves the criterion). `arity_present` is the store's
+/// arity-histogram check for the criterion's arity. A zero-estimate driver
+/// proves the criterion empty.
+PlanAccess plan_access(bool arity_present, const PlanStep* driver);
+
+/// Applies the shared plan policy to the paths a store collected and orders
+/// them by plan_step_before.
 QueryPlan finalize_plan(bool arity_present, std::vector<PlanStep> paths);
 
 /// A sorted-index walk region for one pattern: the single value type the

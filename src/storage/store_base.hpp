@@ -54,17 +54,16 @@ class StoreBase : public ObjectStore {
 
  protected:
   /// Insert into the backbone; derived classes call this from store() and
-  /// then update their index. Returns false (and stores nothing) on a
+  /// then index the returned object. Returns null (and stores nothing) on a
   /// duplicate identity — replicated stores are idempotent per A2.
-  bool base_store(PasoObject object, std::uint64_t age) {
-    if (age_of_.contains(object.id)) return false;
+  const PasoObject* base_store(PasoObject object, std::uint64_t age) {
+    if (age_of_.contains(object.id)) return nullptr;
     content_bytes_ += object.wire_size();
     ++arity_count_[object.fields.size()];
     age_of_.emplace(object.id, age);
     const auto [it, inserted] = by_age_.emplace(age, std::move(object));
     PASO_REQUIRE(inserted, "duplicate age in store");
-    (void)it;
-    return true;
+    return &it->second;
   }
 
   /// Remove by age; derived classes fix their index first.

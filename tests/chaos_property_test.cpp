@@ -1,5 +1,6 @@
 // Seeded chaos sweep: 200+ generated fault schedules, three workload
-// shapes, and after every run the Section 2 axioms plus two liveness
+// shapes, the lambda-bounded fault model checked after every workload
+// round, and after every run the Section 2 axioms plus two liveness
 // properties — no operation still in flight once the run settles, and the
 // same seed replaying to an identical timeline and ledger. This is the
 // acceptance harness for the crash-recovery hardening: drop windows force
@@ -10,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "paso/fault_injector.hpp"
@@ -143,6 +145,19 @@ RunResult run_chaos(std::uint64_t seed, Workload workload,
       }
     }
     cluster.settle_for(150 + static_cast<sim::SimTime>(rng.index(120)));
+    // Section 3.1's fault model, every round: never more than lambda
+    // machines down, and the fault-tolerance condition holds.
+    std::size_t down = 0;
+    for (std::uint32_t m = 0; m < kMachines; ++m) {
+      if (!cluster.is_up(MachineId{m})) ++down;
+    }
+    const bool condition = cluster.fault_tolerance_condition_holds();
+    if (down > cfg.lambda || !condition) {
+      out.violations.push_back(
+          "round " + std::to_string(round) + ": " + std::to_string(down) +
+          " machines down, fault-tolerance condition " +
+          (condition ? "holds" : "broken"));
+    }
   }
 
   // Drain past the horizon plus the longest deadline so every machine has
@@ -160,9 +175,11 @@ RunResult run_chaos(std::uint64_t seed, Workload workload,
     out.retries += cluster.runtime(MachineId{m}).retries();
     out.inflight += cluster.runtime(MachineId{m}).inflight();
   }
-  out.violations =
-      semantics::check_history(cluster.history(), cluster.run_context())
-          .violations;
+  for (std::string& violation :
+       semantics::check_history(cluster.history(), cluster.run_context())
+           .violations) {
+    out.violations.push_back(std::move(violation));
+  }
   if (observe) {
     out.traced_cost = cluster.tracer().traced_msg_cost();
     out.untraced_cost = cluster.tracer().untraced_msg_cost();

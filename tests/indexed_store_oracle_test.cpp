@@ -6,9 +6,10 @@
 // criteria), same sizes, same snapshots.
 //
 // Families checked against the spec, all fed identical workloads:
-//   HashStore(0), OrderedStore(0), CompositeStore(0),
+//   IndexedStore({0}) in ordered mode (the single-field search tree),
 //   IndexedStore(fields) in plain mode, IndexedStore(fields) in ordered
-//   mode (sorted twins + selectivity planner).
+//   mode (sorted twins + selectivity planner). With fields = {0} the plain
+//   family is the single-field hash table every class gets by default.
 // Criteria cover Exact / OneOf-with-duplicates / IntRange / RealRange /
 // TextPrefix / TypedAny / AnyField plus the query-engine additions: Range
 // with open and exclusive bounds (including type-mismatched bounds that
@@ -26,11 +27,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "storage/composite_store.hpp"
-#include "storage/hash_store.hpp"
 #include "storage/indexed_store.hpp"
 #include "storage/linear_store.hpp"
-#include "storage/ordered_store.hpp"
 
 namespace paso::storage {
 namespace {
@@ -147,9 +145,10 @@ struct Family {
 
 std::vector<Family> make_families(const std::vector<std::size_t>& fields) {
   std::vector<Family> families;
-  families.push_back({"hash", std::make_unique<HashStore>(0)});
-  families.push_back({"ordered", std::make_unique<OrderedStore>(0)});
-  families.push_back({"composite", std::make_unique<CompositeStore>(0)});
+  families.push_back(
+      {"ordered", std::make_unique<IndexedStore>(
+                      std::vector<std::size_t>{0},
+                      IndexedStore::Options{.ordered = true})});
   families.push_back({"indexed", std::make_unique<IndexedStore>(fields)});
   families.push_back(
       {"indexed+sorted",
@@ -282,9 +281,9 @@ TEST(IndexedStoreOracleTest, MatchesLinearStoreAcrossSeeds) {
   }
 }
 
-TEST(IndexedStoreOracleTest, HashStoreEquivalentConfigMatchesToo) {
-  // IndexedStore({0}) is the drop-in replacement for HashStore(0): same
-  // workloads, reference-checked separately so a regression names it.
+TEST(IndexedStoreOracleTest, HashTableConfigMatchesToo) {
+  // IndexedStore({0}) is the default class store (the hash table): fresh
+  // seeds, reference-checked separately so a regression names it.
   for (int seed = 1000; seed < 1040; ++seed) {
     run_oracle(seed, {0});
   }

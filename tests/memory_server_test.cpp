@@ -5,7 +5,7 @@
 #include "net/bus_network.hpp"
 #include "paso/memory_server.hpp"
 #include "sim/simulator.hpp"
-#include "storage/hash_store.hpp"
+#include "storage/indexed_store.hpp"
 
 namespace paso {
 namespace {
@@ -22,7 +22,9 @@ class MemoryServerTest : public ::testing::Test {
       : schema_(simple_schema()),
         network_(simulator_, CostModel{10, 1}, 2),
         server_(MachineId{0}, schema_,
-                [](ClassId) { return std::make_unique<storage::HashStore>(0); },
+                [](ClassId) {
+                  return std::make_unique<storage::IndexedStore>();
+                },
                 network_) {}
 
   PasoObject object(std::uint64_t seq, std::int64_t key,
@@ -168,7 +170,7 @@ TEST_F(MemoryServerTest, ExpiredMarkersAreSweptWithoutAnyInsert) {
 
   MemoryServer twin(MachineId{1}, schema_,
                     [](ClassId) {
-                      return std::make_unique<storage::HashStore>(0);
+                      return std::make_unique<storage::IndexedStore>();
                     },
                     network_);
   twin.install_state(schema_.group_name(ClassId{0}), blob);
@@ -280,7 +282,7 @@ TEST_F(MemoryServerTest, StateRoundTripPreservesAgesAndMarkers) {
 
   MemoryServer twin(MachineId{1}, schema_,
                     [](ClassId) {
-                      return std::make_unique<storage::HashStore>(0);
+                      return std::make_unique<storage::IndexedStore>();
                     },
                     network_);
   twin.install_state(schema_.group_name(ClassId{0}), blob);

@@ -1,13 +1,13 @@
 // End-to-end tests with heterogeneous per-class stores: a dictionary class
-// on HashStore, a range class on OrderedStore, a scan class on LinearStore —
+// on the hash-table IndexedStore, a range class on the ordered (search-tree)
+// IndexedStore, a scan class on LinearStore —
 // Section 5's three data-structure families living side by side in one
 // memory, with per-class model costs flowing into the work ledger.
 #include <gtest/gtest.h>
 
 #include "paso/cluster.hpp"
-#include "storage/hash_store.hpp"
+#include "storage/indexed_store.hpp"
 #include "storage/linear_store.hpp"
-#include "storage/ordered_store.hpp"
 
 namespace paso {
 namespace {
@@ -26,9 +26,12 @@ MemoryServer::ClassStoreFactory mixed_factory(const Schema& schema) {
     (void)partition;
     switch (spec_index) {
       case 0:
-        return std::make_unique<storage::HashStore>(0);
+        return std::make_unique<storage::IndexedStore>(
+            std::vector<std::size_t>{0});
       case 1:
-        return std::make_unique<storage::OrderedStore>(0);
+        return std::make_unique<storage::IndexedStore>(
+            std::vector<std::size_t>{0},
+            storage::IndexedStore::Options{.ordered = true});
       default:
         return std::make_unique<storage::LinearStore>();
     }

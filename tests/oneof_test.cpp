@@ -4,7 +4,7 @@
 
 #include "paso/cluster.hpp"
 #include "paso/wire.hpp"
-#include "storage/hash_store.hpp"
+#include "storage/indexed_store.hpp"
 
 namespace paso {
 namespace {
@@ -65,8 +65,8 @@ TEST(OneOfTest, ScListUnionsOnlyTheListedPartitions) {
             candidates.end());
 }
 
-TEST(OneOfTest, HashStoreUsesBucketUnion) {
-  storage::HashStore store(0);
+TEST(OneOfTest, HashIndexUsesBucketUnion) {
+  storage::IndexedStore store({0});
   for (std::int64_t k = 0; k < 50; ++k) {
     PasoObject o;
     o.id = ObjectId{ProcessId{MachineId{0}, 0},

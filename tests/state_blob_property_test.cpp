@@ -1,8 +1,9 @@
 // Property test: state-transfer round-trips across every store family.
 //
 // A seeded random workload (unique-key inserts and targeted removals) runs
-// against four classes, one per store structure — HashStore, OrderedStore,
-// IndexedStore and CompositeStore. The properties checked, per family:
+// against four classes, one per store configuration — IndexedStore as the
+// single-field hash table and search tree, two-field plain, and two-field
+// ordered. The properties checked, per family:
 //
 //   1. capture_state's declared StateBlob::bytes equals the documented
 //      accounting — store payload (16-byte header + per-object wire size +
@@ -23,17 +24,14 @@
 #include "common/rng.hpp"
 #include "paso/cluster.hpp"
 #include "semantics/checker.hpp"
-#include "storage/composite_store.hpp"
-#include "storage/hash_store.hpp"
 #include "storage/indexed_store.hpp"
-#include "storage/ordered_store.hpp"
 
 namespace paso {
 namespace {
 
-// Five families, five distinct signatures so obj-clss and sc-list stay
+// Four families, four distinct signatures so obj-clss and sc-list stay
 // unambiguous: every tuple and every criterion names exactly one class. The
-// fifth ("rich") runs the full query engine — ordered IndexedStore with
+// fourth ("rich") runs the full query engine — ordered IndexedStore with
 // sorted twins on both fields — so its blobs carry state that must rebuild
 // hash buckets, sorted indexes and cardinality stats on install.
 Schema family_schema() {
@@ -41,7 +39,6 @@ Schema family_schema() {
       ClassSpec{"hash", {FieldType::kInt, FieldType::kText}, 0, 1},
       ClassSpec{"ordered", {FieldType::kReal, FieldType::kInt}, 0, 1},
       ClassSpec{"indexed", {FieldType::kInt, FieldType::kInt}, 0, 1},
-      ClassSpec{"composite", {FieldType::kReal, FieldType::kText}, 0, 1},
       ClassSpec{"rich", {FieldType::kText, FieldType::kInt}, 0, 1},
   });
 }
@@ -50,14 +47,15 @@ MemoryServer::ClassStoreFactory family_factory(const Schema& schema) {
   return [&schema](ClassId cls) -> std::unique_ptr<storage::ObjectStore> {
     switch (schema.locate(cls).first) {
       case 0:
-        return std::make_unique<storage::HashStore>(0);
+        return std::make_unique<storage::IndexedStore>(
+            std::vector<std::size_t>{0});
       case 1:
-        return std::make_unique<storage::OrderedStore>(0);
+        return std::make_unique<storage::IndexedStore>(
+            std::vector<std::size_t>{0},
+            storage::IndexedStore::Options{.ordered = true});
       case 2:
         return std::make_unique<storage::IndexedStore>(
             std::vector<std::size_t>{0, 1});
-      case 3:
-        return std::make_unique<storage::CompositeStore>(0);
       default:
         return std::make_unique<storage::IndexedStore>(
             std::vector<std::size_t>{0, 1},
@@ -85,8 +83,6 @@ Tuple make_tuple(std::size_t spec, std::int64_t key,
       return {Value{static_cast<double>(key)}, Value{key}};
     case 2:
       return {Value{key}, Value{static_cast<std::int64_t>(payload.size())}};
-    case 3:
-      return {Value{static_cast<double>(key)}, Value{payload}};
     default:
       // Zero-padded text keys: lexicographic order == numeric order, so the
       // rich family's range and prefix probes below stay meaningful.
@@ -105,9 +101,6 @@ SearchCriterion key_criterion(std::size_t spec, std::int64_t key) {
                        TypedAny{FieldType::kInt});
     case 2:
       return criterion(Exact{Value{key}}, TypedAny{FieldType::kInt});
-    case 3:
-      return criterion(Exact{Value{static_cast<double>(key)}},
-                       TypedAny{FieldType::kText});
     default:
       return criterion(TypedAny{FieldType::kText}, Exact{Value{key}});
   }
@@ -137,7 +130,7 @@ TEST(StateBlobPropertyTest, BlobAccountingAndRoundTripAcrossFamilies) {
     cluster.assign_basic_support();
     const ProcessId driver = cluster.process(MachineId{4});
 
-    std::vector<FamilyModel> families(5);
+    std::vector<FamilyModel> families(4);
     for (std::size_t spec = 0; spec < families.size(); ++spec) {
       families[spec].spec = spec;
     }
@@ -221,7 +214,7 @@ TEST(StateBlobPropertyTest, BlobAccountingAndRoundTripAcrossFamilies) {
           EXPECT_TRUE(from_donor->fields == from_joiner->fields);
         }
       }
-      if (family.spec == 4) {
+      if (family.spec == 3) {
         // The rich family's installed replica must have rebuilt its sorted
         // twins and stats, not just the age backbone: query-engine probes
         // (prefix walk, text range, ranked read) answer like the donor.

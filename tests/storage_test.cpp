@@ -1,14 +1,13 @@
-// Tests for the three local object stores (Sections 4.2, 5): store_M /
-// mem-read_M / remove_M semantics, oldest-first removal, snapshot/load for
-// state transfer, and the model cost functions I/Q/D.
+// Tests for the local object stores (Sections 4.2, 5) — IndexedStore's
+// hash and ordered settings and LinearStore: store_M / mem-read_M /
+// remove_M semantics, oldest-first removal, snapshot/load for state
+// transfer, and the model cost functions I/Q/D.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "storage/hash_store.hpp"
 #include "storage/indexed_store.hpp"
 #include "storage/linear_store.hpp"
-#include "storage/ordered_store.hpp"
 
 namespace paso::storage {
 namespace {
@@ -25,14 +24,19 @@ SearchCriterion key_criterion(std::int64_t key) {
   return criterion(Exact{Value{key}}, AnyField{});
 }
 
-/// Parameterized over the three store kinds: shared behaviour contracts.
+/// Parameterized over the store configurations: shared behaviour contracts.
 class StoreContractTest
     : public ::testing::TestWithParam<const char*> {
  protected:
   std::unique_ptr<ObjectStore> make_store() const {
     const std::string kind = GetParam();
-    if (kind == "hash") return std::make_unique<HashStore>(0);
-    if (kind == "ordered") return std::make_unique<OrderedStore>(0);
+    if (kind == "hash") {
+      return std::make_unique<IndexedStore>(std::vector<std::size_t>{0});
+    }
+    if (kind == "ordered") {
+      return std::make_unique<IndexedStore>(
+          std::vector<std::size_t>{0}, IndexedStore::Options{.ordered = true});
+    }
     if (kind == "indexed") {
       return std::make_unique<IndexedStore>(std::vector<std::size_t>{0, 1});
     }
@@ -144,26 +148,28 @@ INSTANTIATE_TEST_SUITE_P(AllStores, StoreContractTest,
 
 // --- kind-specific behaviour -------------------------------------------------
 
-TEST(HashStoreTest, UnitModelCosts) {
-  HashStore store(0);
+TEST(HashPresetTest, UnitModelCosts) {
+  IndexedStore store({0});
   for (std::uint64_t i = 0; i < 100; ++i) store.store(make_object(i, 1), i);
   EXPECT_DOUBLE_EQ(store.insert_cost(), 1.0);
   EXPECT_DOUBLE_EQ(store.query_cost(), 1.0);
   EXPECT_DOUBLE_EQ(store.remove_cost(), 1.0);
 }
 
-TEST(HashStoreTest, OneOfWithRepeatedValuesProbesEachBucketOnce) {
-  HashStore store(0);
+TEST(HashPresetTest, OneOfWithRepeatedValuesProbesEachBucketOnce) {
+  IndexedStore store({0});
   for (std::uint64_t i = 0; i < 8; ++i) {
     store.store(make_object(i, static_cast<std::int64_t>(i % 2)), i);
   }
   const std::uint64_t before = store.match_probes();
-  // The value 1 appears three times; a correct OneOf path scans its bucket
-  // once, so the probe count equals the distinct buckets' sizes (4 + 4).
+  // The value 1 appears three times. A bucket walk stops at its first
+  // verified (oldest) match, so visiting each distinct bucket once costs one
+  // probe per bucket (1 + 1); every rescan of the 1-bucket adds another.
   const auto found = store.find(criterion(
       OneOf{{Value{1ll}, Value{1ll}, Value{0ll}, Value{1ll}}}, AnyField{}));
   ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(store.match_probes() - before, 8u)
+  EXPECT_EQ(found->id.sequence, 0u);
+  EXPECT_EQ(store.match_probes() - before, 2u)
       << "repeated OneOf values rescanned a bucket";
 }
 
@@ -220,8 +226,8 @@ TEST(IndexedStoreTest, ModelCostsScaleWithIndexCount) {
   EXPECT_DOUBLE_EQ(three.query_cost(), 1.0);
 }
 
-TEST(OrderedStoreTest, RangeQueriesUseTheIndex) {
-  OrderedStore store(0);
+TEST(OrderedPresetTest, RangeQueriesUseTheIndex) {
+  IndexedStore store({0}, IndexedStore::Options{.ordered = true});
   for (std::int64_t k = 0; k < 50; ++k) {
     store.store(make_object(static_cast<std::uint64_t>(k), k), k);
   }
@@ -231,20 +237,18 @@ TEST(OrderedStoreTest, RangeQueriesUseTheIndex) {
   const auto removed = store.remove(criterion(IntRange{48, 100}, AnyField{}));
   ASSERT_TRUE(removed.has_value());
   EXPECT_EQ(std::get<std::int64_t>(removed->fields[0]), 48);
+  // A removal driven by the sorted twin leaves the hash index aligned.
+  EXPECT_FALSE(store.find(key_criterion(48)).has_value());
+  EXPECT_TRUE(store.find(key_criterion(49)).has_value());
 }
 
-TEST(OrderedStoreTest, LogarithmicQueryCostGrowsWithSize) {
-  OrderedStore store(0);
+TEST(OrderedPresetTest, LogarithmicQueryCostGrowsWithSize) {
+  IndexedStore store({0}, IndexedStore::Options{.ordered = true});
   EXPECT_DOUBLE_EQ(store.query_cost(), 1.0);
   for (std::uint64_t i = 0; i < 1024; ++i) store.store(make_object(i, 1), i);
-  EXPECT_GE(store.query_cost(), 10.0);
-  EXPECT_DOUBLE_EQ(store.insert_cost(), 1.0);
-}
-
-TEST(OrderedStoreTest, FixedQueryCostOverride) {
-  OrderedStore store(0, 4.0);
-  for (std::uint64_t i = 0; i < 1000; ++i) store.store(make_object(i, 1), i);
-  EXPECT_DOUBLE_EQ(store.query_cost(), 4.0);
+  EXPECT_DOUBLE_EQ(store.query_cost(), 11.0);  // 1 + floor(log2(1025))
+  EXPECT_DOUBLE_EQ(store.insert_cost(), 2.0);  // hash bucket + tree insert
+  EXPECT_DOUBLE_EQ(store.remove_cost(), 2.0);
 }
 
 TEST(LinearStoreTest, LinearModelCosts) {
@@ -260,8 +264,8 @@ TEST(LinearStoreTest, EmptyStoreCostsFloorAtOne) {
   EXPECT_DOUBLE_EQ(store.query_cost(), 1.0);
 }
 
-TEST(OrderedStoreTest, RealRangeQueries) {
-  OrderedStore store(0);
+TEST(OrderedPresetTest, RealRangeQueries) {
+  IndexedStore store({0}, IndexedStore::Options{.ordered = true});
   PasoObject object;
   object.id = ObjectId{ProcessId{MachineId{0}, 0}, 1};
   object.fields = {Value{3.25}, Value{std::string{"x"}}};
@@ -391,7 +395,8 @@ TEST(IndexedStoreTest, CardinalityStatsTrackInsertAndRemove) {
 
 TEST(RankedReadTest, TopKSelectsByRankNotAge) {
   // Ages and key order deliberately disagree: ranked reads must follow the
-  // score order, ties broken oldest-first — identically on every family.
+  // score order, ties broken oldest-first — identically on the spec scan,
+  // the hash setting (no rank order: scan) and the sorted walk.
   const auto fill = [](ObjectStore& store) {
     store.store(make_object(0, 30, "old-high"), 0);
     store.store(make_object(1, 10, "low"), 1);
@@ -399,11 +404,11 @@ TEST(RankedReadTest, TopKSelectsByRankNotAge) {
     store.store(make_object(3, 20, "mid"), 3);
   };
   LinearStore spec;
-  IndexedStore indexed({0}, IndexedStore::Options{true});
-  OrderedStore ordered(0);
+  IndexedStore indexed({0}, IndexedStore::Options{.ordered = true});
+  IndexedStore hash({0});
   fill(spec);
   fill(indexed);
-  fill(ordered);
+  fill(hash);
   const SearchCriterion top1 = ranked(
       criterion(AnyField{}, AnyField{}), TopK{0, 1, /*descending=*/true});
   const SearchCriterion top2 = ranked(
@@ -411,7 +416,7 @@ TEST(RankedReadTest, TopKSelectsByRankNotAge) {
   const SearchCriterion bottom = ranked(
       criterion(AnyField{}, AnyField{}), TopK{0, 1, /*descending=*/false});
   for (ObjectStore* store :
-       std::initializer_list<ObjectStore*>{&spec, &indexed, &ordered}) {
+       std::initializer_list<ObjectStore*>{&spec, &indexed, &hash}) {
     EXPECT_EQ(store->find(top1)->id.sequence, 0u);  // 30, oldest of the tie
     EXPECT_EQ(store->find(top2)->id.sequence, 2u);  // 30, the newer twin
     EXPECT_EQ(store->find(bottom)->id.sequence, 1u);  // 10
