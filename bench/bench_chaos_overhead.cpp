@@ -10,7 +10,7 @@
 #include <cinttypes>
 
 #include "bench/bench_util.hpp"
-#include "paso/fault_injector.hpp"
+#include "paso/chaos.hpp"
 #include "semantics/checker.hpp"
 
 using namespace paso;

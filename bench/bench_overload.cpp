@@ -8,10 +8,11 @@
 //              behavior. Past the knee the backlog grows without bound, so
 //              completed-op latency climbs toward the deadline and goodput
 //              decays (every op pays queueing before being serviced).
-//   survival — bounded bridge ingress (shed policy) + client-edge admission
-//              control (reject past the concurrent-op limit). Excess load
-//              is refused *early and cheaply*; what is admitted completes
-//              at healthy latency, so goodput holds and p99 stays bounded.
+//   survival — bounded bridge ingress (overflow shed) + client-edge
+//              admission control (reject past the concurrent-op limit).
+//              Excess load is refused *early and cheaply*; what is admitted
+//              completes at healthy latency, so goodput holds and p99 stays
+//              bounded.
 //
 // Every quantity here is virtual-time (goodput, shed_rate, p99_model) or
 // model cost (msg_cost) — deterministic, so the rows are committed to
@@ -47,8 +48,7 @@ Row run(double rate, bool survival) {
   config.runtime.op_deadline = kDeadline;
   config.record_history = false;  // open-loop scale: no per-op history
   if (survival) {
-    config.topology.with_bridge_limit(2, net::BridgePolicy::kShed);
-    config.runtime.admission = AdmissionMode::kReject;
+    config.topology.with_bridge_limit(2);
     config.runtime.admission_limit = 1;
   }
   Cluster cluster(TaskCluster::schema(), config);

@@ -22,7 +22,7 @@ void BusNetwork::send(MachineId from, MachineId to, const std::string& tag,
   const std::uint32_t sf = price.from_segment;
   const std::uint32_t st = price.to_segment;
   // Transmission begins when the source bus frees up.
-  sim::SimTime start = std::max(simulator_.now(), segment_free_[sf]);
+  const sim::SimTime start = std::max(simulator_.now(), segment_free_[sf]);
   sim::SimTime end = 0;  // arrival at the destination machine
 
   if (!price.crossing()) {
@@ -34,37 +34,21 @@ void BusNetwork::send(MachineId from, MachineId to, const std::string& tag,
     // occupy the destination bus (store-and-forward; only the shared buses
     // serialize). Both reservations are made now, deterministically, in
     // send order. With Topology::bridge_capacity set, the destination
-    // ingress is a *bounded* buffer: a crossing that would find it full is
-    // shed or back-pressured per the topology's BridgePolicy.
+    // ingress is a *bounded* buffer: a crossing that would find it full
+    // is shed.
     std::deque<sim::SimTime>& queue = ingress_[st];
     // Reservations whose destination transmission began by `now` can never
     // count against any future arrival (arrivals are never in the past).
     while (!queue.empty() && queue.front() <= simulator_.now()) {
       queue.pop_front();
     }
-    sim::SimTime arrive = start + price.source + price.bridge;
+    const sim::SimTime arrive = start + price.source + price.bridge;
     if (topology_.bounded_bridges()) {
-      const std::size_t capacity = topology_.bridge_capacity();
       // Occupancy this crossing finds on arrival: reserved crossings whose
       // destination transmission has not begun by then (deque is ascending).
-      auto occupancy = [&queue](sim::SimTime at) {
-        return static_cast<std::size_t>(
-            queue.end() -
-            std::upper_bound(queue.begin(), queue.end(), at));
-      };
-      if (occupancy(arrive) >= capacity) {
-        if (topology_.bridge_policy() == BridgePolicy::kBackpressure) {
-          // Stall the source transmission until the ingress has room: the
-          // buffer drains to capacity-1 once the (|q|-capacity)-th queued
-          // departure has begun.
-          const sim::SimTime room = queue[queue.size() - capacity];
-          start = std::max(start, room - price.bridge - price.source);
-          arrive = start + price.source + price.bridge;
-          ++bridge_backpressured_;
-        } else {
-          price.shed = true;
-        }
-      }
+      const auto occupancy = static_cast<std::size_t>(
+          queue.end() - std::upper_bound(queue.begin(), queue.end(), arrive));
+      if (occupancy >= topology_.bridge_capacity()) price.shed = true;
     }
 
     occupy(sf, start, price.source, bytes);

@@ -109,11 +109,8 @@ class BusNetwork final : public Transport {
   std::uint64_t partition_dropped() const { return partition_dropped_; }
 
   // --- bounded bridge buffers (Topology::bridge_capacity) -------------------
-  /// Crossings shed at a full destination ingress (BridgePolicy::kShed).
+  /// Crossings shed at a full destination ingress.
   std::uint64_t bridge_shed() const { return bridge_shed_; }
-  /// Crossings whose source transmission stalled for ingress room
-  /// (BridgePolicy::kBackpressure).
-  std::uint64_t bridge_backpressured() const { return bridge_backpressured_; }
   /// Crossings currently queued at `segment`'s bus ingress (reserved but
   /// their destination-bus transmission has not begun at virtual `now`).
   std::size_t bridge_queue_depth(std::size_t segment) const {
@@ -208,7 +205,6 @@ class BusNetwork final : public Transport {
   std::uint64_t partition_dropped_ = 0;
   std::uint64_t crossings_ = 0;
   std::uint64_t bridge_shed_ = 0;
-  std::uint64_t bridge_backpressured_ = 0;
 };
 
 }  // namespace paso::net

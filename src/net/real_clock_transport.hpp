@@ -78,9 +78,10 @@ class RealClockTransport : public Transport {
     return crossings_.load(std::memory_order_relaxed);
   }
   /// Crossings shed at a full bounded bridge ingress (see
-  /// Topology::with_bridge_limit). Both bridge policies shed on a real
-  /// clock: the sender holds stack shards the fabric needs to drain the
-  /// ingress, so blocking for room would deadlock.
+  /// Topology::with_bridge_limit), exactly as the simulated bus sheds.
+  /// Shedding is also the only sound choice on a real clock: the sender
+  /// holds stack shards the fabric needs to drain the ingress, so blocking
+  /// for room would deadlock.
   std::uint64_t bridge_shed() const {
     return bridge_shed_.load(std::memory_order_relaxed);
   }

@@ -26,6 +26,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kInvalidMachine = static_cast<std::size_t>(-1);
+/// Deadline for machine processes to connect and complete the
+/// Hello/HelloAck handshake, at construction and per respawn.
+constexpr long kHandshakeTimeoutUs = 10'000'000;
 
 std::uint64_t fresh_token() {
   // Tokens only need to make a stray/stale connection implausible, not be
@@ -97,14 +100,14 @@ SocketTransport::SocketTransport(CostModel model, std::size_t n,
         handle_peer_death(machine, reason);
       });
 
-  // Fork every machine process BEFORE this process grows any threads:
-  // fork-only children (no exec) continue from fork() into the endpoint
-  // loop, which is only sound from an effectively single-threaded parent.
+  // Fork every machine process BEFORE this process grows any threads: the
+  // children continue from fork() into the endpoint loop, which is only
+  // sound from an effectively single-threaded parent.
   for (std::uint32_t m = 0; m < n; ++m) {
     PASO_REQUIRE(spawn_endpoint(m), "socket transport: spawn failed");
   }
 
-  PASO_REQUIRE(await_handshakes(n, options_.handshake_timeout_us),
+  PASO_REQUIRE(await_handshakes(n, kHandshakeTimeoutUs),
                "socket transport: machine processes failed to hand-shake");
 
   // Only now (children forked, endpoints attached) does the broker grow
@@ -118,15 +121,12 @@ SocketTransport::SocketTransport(CostModel model, std::size_t n,
 SocketTransport::~SocketTransport() { shutdown(); }
 
 bool SocketTransport::spawn_endpoint(std::uint32_t machine) {
-  proc::SpawnSpec spec;
-  spec.endpoint.port = port_;
-  spec.endpoint.machine = machine;
-  spec.endpoint.token =
-      endpoints_[machine]->token.load(std::memory_order_acquire);
-  spec.endpoint.ingress_capacity = options_.ingress_capacity;
-  spec.endpoint.heartbeat_interval_us = options_.heartbeat_interval_us;
-  spec.exec_path = options_.machined_path;
-  const int pid = proc::spawn_machine_process(spec);
+  proc::EndpointConfig endpoint;
+  endpoint.port = port_;
+  endpoint.machine = machine;
+  endpoint.token = endpoints_[machine]->token.load(std::memory_order_acquire);
+  endpoint.heartbeat_interval_us = options_.heartbeat_interval_us;
+  const int pid = proc::spawn_machine_process(endpoint);
   if (pid <= 0) return false;
   supervisor_->adopt(machine, pid);
   return true;
@@ -701,8 +701,7 @@ bool SocketTransport::respawn(MachineId machine) {
 
   // The IO thread's accept path completes the handshake; wait it out.
   const Clock::time_point deadline =
-      Clock::now() +
-      std::chrono::microseconds(options_.handshake_timeout_us);
+      Clock::now() + std::chrono::microseconds(kHandshakeTimeoutUs);
   while (ep.dead.load(std::memory_order_acquire)) {
     if (Clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));

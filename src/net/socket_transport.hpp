@@ -27,10 +27,9 @@
 //     mirrors its occupancy as a per-destination-segment in-flight credit
 //     (frames sent, ack not yet back); a crossing that finds the credit
 //     exhausted is shed at transmission begin — charged source + bridge
-//     hops only, like the threaded overflow lane (backpressure degrades to
-//     shed for the same reason: the sender holds the stack lock). Within
-//     the unbounded default, real backpressure still exists: a full child
-//     ingress stops reading and TCP flow control stalls the broker's
+//     hops only, like the threaded overflow lane and the simulated bus.
+//     Within the unbounded default, real backpressure still exists: a full
+//     child ingress stops reading and TCP flow control stalls the broker's
 //     writes, never the protocol.
 //
 // Failure plane: each machine process beacons heartbeats; a proc::Supervisor
@@ -69,20 +68,14 @@
 
 namespace paso::net {
 
+/// Machine processes are forked (proc/spawn.hpp) with an ingress buffer of
+/// proc::kIngressCapacity frames, and must complete the Hello/HelloAck
+/// handshake within 10 s of construction (and of each respawn).
 struct SocketTransportOptions {
-  /// Bound on each machine process's ingress buffer (frames read but not
-  /// yet acked); a full ingress stops the child's reads (TCP backpressure).
-  std::size_t ingress_capacity = 1024;
   /// Child heartbeat beacon interval, microseconds.
   long heartbeat_interval_us = 25'000;
   /// Supervisor verdict: silence longer than this is peer death.
   long heartbeat_timeout_us = 250'000;
-  /// Deadline for all machine processes to connect and complete the
-  /// Hello/HelloAck handshake at construction (and per respawn).
-  long handshake_timeout_us = 10'000'000;
-  /// Nonempty: fork+exec this `paso_machined` binary per machine instead of
-  /// fork-only (see proc/spawn.hpp for the trade-off).
-  std::string machined_path;
 };
 
 class SocketTransport final : public RealClockTransport {

@@ -64,9 +64,7 @@ bool ThreadedTransport::transmit(MachineId to, const Price& price,
                                  std::size_t /*bytes*/, Delivery&& deliver,
                                  DomainMask domain) {
   // Only crossings meet the bridge cap: intra-segment sends ride the
-  // overflow lane however deep it gets. Backpressure degrades to shed here
-  // — the sender holds the stack shards the consuming worker needs for its
-  // execute phase, so blocking for room would deadlock the fabric.
+  // overflow lane however deep it gets. A crossing at the cap is shed.
   const std::size_t cap = price.crossing() && topology_.bounded_bridges()
                               ? topology_.bridge_capacity()
                               : kUnboundedBridge;

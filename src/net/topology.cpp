@@ -68,7 +68,6 @@ Topology Topology::resolve(std::size_t machines,
     Topology resolved({Segment{default_model}},
                       std::vector<std::uint32_t>(machines, 0), 0, 0);
     resolved.bridge_capacity_ = bridge_capacity_;
-    resolved.bridge_policy_ = bridge_policy_;
     return resolved;
   }
   PASO_REQUIRE(machine_segment_.size() == machines,

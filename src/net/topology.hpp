@@ -12,11 +12,10 @@
 //
 // Bridge buffers are *bounded* when `bridge_capacity` is set: a crossing
 // that would find more than `bridge_capacity` crossings already queued at
-// the destination bus's ingress is handled per `bridge_policy` — shed
-// (dropped after its source-bus transmission, like a partition drop) or
-// back-pressured (the source bus stalls, head-of-line, until the ingress
-// drains below the cap). The default capacity is unbounded, which is
-// bit-for-bit the legacy store-and-forward behavior.
+// the destination bus's ingress is shed — dropped after its source-bus
+// transmission, like a partition drop. All three transports shed the same
+// way. The default capacity is unbounded, which is bit-for-bit the legacy
+// store-and-forward behavior.
 //
 // The default-constructed Topology is *degenerate*: no segments declared,
 // meaning "one bus, use the network's own cost model". BusNetwork's
@@ -37,18 +36,6 @@ namespace paso::net {
 /// One bus segment: an independent serializing Ethernet.
 struct Segment {
   CostModel model{};
-};
-
-/// What a bridge does with a crossing that arrives at a full destination
-/// ingress buffer (see Topology::bridge_capacity).
-enum class BridgePolicy {
-  /// Drop the message at the bridge. The source bus already transmitted it
-  /// (and is charged), the destination bus never carries it.
-  kShed,
-  /// Stall the source bus (head-of-line) until the destination ingress has
-  /// room, so the crossing is delayed, never lost. Models a bridge that
-  /// asserts carrier-sense back onto the sending segment.
-  kBackpressure,
 };
 
 /// Sentinel: unbounded bridge buffers (the legacy model).
@@ -112,19 +99,18 @@ class Topology {
   Cost bridge_beta() const { return bridge_beta_; }
 
   /// Bound the per-segment bridge ingress buffer: at most `capacity`
-  /// crossings may be queued awaiting a destination bus at any moment;
-  /// overflow is handled per `policy`. kUnboundedBridge (the default)
-  /// reproduces the legacy unbounded store-and-forward behavior bit for
-  /// bit. Returns *this so a topology literal can be built fluently.
-  Topology& with_bridge_limit(std::size_t capacity,
-                              BridgePolicy policy = BridgePolicy::kShed) {
+  /// crossings may be queued awaiting a destination bus at any moment; a
+  /// crossing that finds the buffer full is shed at the bridge: the source
+  /// bus already transmitted it (and is charged), the destination bus never
+  /// carries it. kUnboundedBridge (the default) reproduces the legacy
+  /// unbounded store-and-forward behavior bit for bit. Returns *this so a
+  /// topology literal can be built fluently.
+  Topology& with_bridge_limit(std::size_t capacity) {
     PASO_REQUIRE(capacity > 0, "bridge capacity must be positive");
     bridge_capacity_ = capacity;
-    bridge_policy_ = policy;
     return *this;
   }
   std::size_t bridge_capacity() const { return bridge_capacity_; }
-  BridgePolicy bridge_policy() const { return bridge_policy_; }
   bool bounded_bridges() const {
     return bridge_capacity_ != kUnboundedBridge;
   }
@@ -165,7 +151,6 @@ class Topology {
   Cost bridge_alpha_ = 0;
   Cost bridge_beta_ = 0;
   std::size_t bridge_capacity_ = kUnboundedBridge;
-  BridgePolicy bridge_policy_ = BridgePolicy::kShed;
 };
 
 }  // namespace paso::net

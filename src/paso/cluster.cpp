@@ -489,9 +489,8 @@ struct SyncWaiter {
 
 std::uint64_t Cluster::op_domain(MachineId issuer,
                                  const std::vector<ClassId>& classes) const {
-  if (obs_ != nullptr || config_.runtime.admission != AdmissionMode::kOff ||
-      config_.runtime.batch_window != 0 || config_.machines > 64 ||
-      classes.empty()) {
+  if (obs_ != nullptr || config_.runtime.batch_window != 0 ||
+      config_.machines > 64 || classes.empty()) {
     return net::kGlobalDomain;
   }
   std::uint64_t domain = net::domain_bit(issuer.value);

@@ -50,8 +50,8 @@ struct ClusterConfig {
   TransportKind transport = TransportKind::kSim;
   /// Ring sizing etc. for TransportKind::kThreaded; ignored under kSim.
   net::ThreadedTransportOptions threaded{};
-  /// Ingress bounds, heartbeat cadence and machined path for
-  /// TransportKind::kSocket; ignored otherwise.
+  /// Heartbeat cadence and peer-death grace for TransportKind::kSocket;
+  /// ignored otherwise.
   net::SocketTransportOptions socket{};
   /// Bus layout. Default (degenerate) = the classic single serializing bus
   /// running `cost_model`, byte-for-byte the pre-topology behavior. An
@@ -103,12 +103,6 @@ class Cluster {
   net::RealClockTransport& real_clock_transport() {
     PASO_REQUIRE(real_clock_ != nullptr, "not a real-clock cluster");
     return *real_clock_;
-  }
-  /// The threaded transport (ring overflow counter). Threaded only.
-  net::ThreadedTransport& threaded_transport() {
-    auto* threaded = dynamic_cast<net::ThreadedTransport*>(real_clock_);
-    PASO_REQUIRE(threaded != nullptr, "not a threaded cluster");
-    return *threaded;
   }
   /// The socket transport (child pids, supervisor, respawn, wire
   /// counters). Socket clusters only.
@@ -241,9 +235,10 @@ class Cluster {
   /// the issuer's shard plus every candidate class's accumulated domain
   /// mask. Degrades to the global domain whenever narrowing is unsound —
   /// observability on (the tracer's ambient context is single-threaded),
-  /// admission queueing (parked ops drain from foreign chains), batching
-  /// (a window aggregates ops of any class), more machines than mask bits,
-  /// a class whose support was never assigned, or no candidate classes.
+  /// batching (a window aggregates ops of any class), more machines than
+  /// mask bits, a class whose support was never assigned, or no candidate
+  /// classes. The admission gate needs no fallback: it only counts the
+  /// issuer's own robust ops, and a refused op finishes inline.
   std::uint64_t op_domain(MachineId issuer,
                           const std::vector<ClassId>& classes) const;
   /// Fold `members` into the class's widen-only domain mask.

@@ -10,6 +10,13 @@ namespace paso {
 
 namespace {
 
+/// Sticky two-choice hysteresis: a probed read-group window wins only when
+/// its load is below current * (1 - kStickyMargin), so equal-load windows
+/// never flap.
+constexpr double kStickyMargin = 0.05;
+/// A robust op's retry backoff is multiplied by this after every retry.
+constexpr double kRetryBackoffFactor = 2.0;
+
 /// Extract the SearchResponse a server produced from the gathered gcast
 /// response. A missing or empty body is "fail".
 SearchResponse unwrap_search(const std::optional<std::any>& response) {
@@ -163,7 +170,7 @@ std::size_t PasoRuntime::sticky_start(ClassId cls,
   const std::size_t probe = read_rotation_[cls.value]++ % members.size();
   if (probe != anchor &&
       window_load(probe) <
-          window_load(anchor) * (1.0 - config_.sticky_margin)) {
+          window_load(anchor) * (1.0 - kStickyMargin)) {
     anchor = probe;
   }
   return anchor;
@@ -198,8 +205,7 @@ void PasoRuntime::read(ProcessId process, SearchCriterion sc,
 void PasoRuntime::read_class_chain(ProcessId process, SearchCriterion sc,
                                    std::vector<ClassId> classes,
                                    std::size_t index, SearchCallback cb,
-                                   obs::TraceId trace,
-                                   std::size_t fanout_cap) {
+                                   obs::TraceId trace) {
   if (index >= classes.size()) {
     cb(std::nullopt);
     return;
@@ -219,16 +225,13 @@ void PasoRuntime::read_class_chain(ProcessId process, SearchCriterion sc,
       return;
     }
     read_class_chain(process, std::move(sc), std::move(classes), index + 1,
-                     std::move(cb), trace, fanout_cap);
+                     std::move(cb), trace);
     return;
   }
 
-  // Remote path: gcast mem-read(sc, C) to the read group. An admission
-  // fanout_cap (kDegrade) shrinks the read group below lambda+1 — a
-  // degraded read trades fault coverage for load shed.
-  std::size_t max_targets =
+  // Remote path: gcast mem-read(sc, C) to the read group.
+  const std::size_t max_targets =
       config_.use_read_groups ? config_.lambda + 1 : SIZE_MAX;
-  if (fanout_cap != 0) max_targets = std::min(max_targets, fanout_cap);
   std::vector<MachineId> preferred;
   if (config_.use_read_groups) {
     if (config_.rotate_read_groups) {
@@ -262,15 +265,14 @@ void PasoRuntime::read_class_chain(ProcessId process, SearchCriterion sc,
       group, vsync::Payload{ServerMessage{std::move(msg)}, bytes},
       "mem-read", std::move(preferred), max_targets,
       [this, process, sc = std::move(sc), classes = std::move(classes), index,
-       trace, fanout_cap,
-       cb = std::move(cb)](std::optional<std::any> response) mutable {
+       trace, cb = std::move(cb)](std::optional<std::any> response) mutable {
         SearchResponse result = unwrap_search(response);
         if (result) {
           cb(std::move(result));
           return;
         }
         read_class_chain(process, std::move(sc), std::move(classes),
-                         index + 1, std::move(cb), trace, fanout_cap);
+                         index + 1, std::move(cb), trace);
       });
 }
 
@@ -638,47 +640,18 @@ std::uint64_t PasoRuntime::start_robust(ProcessId process,
   const std::uint64_t op_id = op.id;
 
   // Admission gate (SEDA-style): bound the robust stage's concurrency at
-  // the client edge, before anything reaches the network.
-  if (config_.admission != AdmissionMode::kOff &&
-      admitted_ >= config_.admission_limit) {
-    if (config_.admission == AdmissionMode::kQueue &&
-        admission_queue_.size() < config_.admission_queue_limit) {
-      // Park in the bounded FIFO; robust_finish drains it as ops complete.
-      // A parked op still honors its deadline — the only timer it arms.
-      op.parked = true;
-      robust_.emplace(op_id, std::move(op));
-      ++inflight_;
-      admission_queue_.push_back(op_id);
-      ++admission_parked_;
-      if (obs_.metrics != nullptr) {
-        obs_.metrics->counter("runtime.admission.parked", self_).inc();
-      }
-      RobustOp& parked = robust_.at(op_id);
-      if (parked.deadline != kNoDeadline) {
-        parked.timer = groups_.network().executor().schedule_at(
-            parked.deadline, [this, op_id] { robust_timer_fired(op_id); });
-        parked.timer_armed = true;
-      }
-      return op_id;
+  // the client edge, before anything reaches the network. Over the limit
+  // the op fails fast with the typed Overloaded outcome; nothing was
+  // issued, but retry/backoff upstream treats it like any refused attempt.
+  if (config_.admission_limit != 0 && admitted_ >= config_.admission_limit) {
+    ++admission_rejections_;
+    if (obs_.metrics != nullptr) {
+      obs_.metrics->counter("runtime.admission.rejected", self_).inc();
     }
-    if (config_.admission == AdmissionMode::kDegrade &&
-        kind == semantics::OpKind::kRead) {
-      // Reads can shrink their fan-out and proceed; updates cannot (every
-      // write-group member must apply them), so they reject below.
-      op.fanout_cap = degraded_fanout();
-    } else {
-      // kReject, a full kQueue parking lot, or a non-read under kDegrade:
-      // fail fast with the typed Overloaded outcome. Nothing was issued,
-      // but retry/backoff upstream treats it like any refused attempt.
-      ++admission_rejections_;
-      if (obs_.metrics != nullptr) {
-        obs_.metrics->counter("runtime.admission.rejected", self_).inc();
-      }
-      robust_.emplace(op_id, std::move(op));
-      ++inflight_;
-      robust_finish(op_id, OpStatus::kOverloaded, std::nullopt);
-      return op_id;
-    }
+    robust_.emplace(op_id, std::move(op));
+    ++inflight_;
+    robust_finish(op_id, OpStatus::kOverloaded, std::nullopt);
+    return op_id;
   }
 
   op.admitted = true;
@@ -687,38 +660,6 @@ std::uint64_t PasoRuntime::start_robust(ProcessId process,
   ++inflight_;
   robust_attempt(op_id);
   return op_id;
-}
-
-std::size_t PasoRuntime::degraded_fanout() const {
-  // λ−k surviving-read semantics (§4.1): with k machines down, a read group
-  // of λ+1−k still intersects every write group that satisfies the
-  // fault-tolerance condition; shedding further is a correctness gamble the
-  // caller opted into, so never go below one target.
-  std::size_t down = 0;
-  const std::size_t n = groups_.network().machine_count();
-  for (std::size_t m = 0; m < n; ++m) {
-    if (!groups_.is_up(MachineId{static_cast<std::uint32_t>(m)})) ++down;
-  }
-  const std::size_t cap = config_.lambda > down ? config_.lambda - down : 0;
-  return std::max<std::size_t>(1, cap);
-}
-
-void PasoRuntime::admission_drain() {
-  exec::Executor& sim = groups_.network().executor();
-  while (admitted_ < config_.admission_limit && !admission_queue_.empty()) {
-    const std::uint64_t op_id = admission_queue_.front();
-    admission_queue_.pop_front();
-    auto it = robust_.find(op_id);
-    if (it == robust_.end()) continue;
-    RobustOp& op = it->second;
-    op.parked = false;
-    op.admitted = true;
-    ++admitted_;
-    // Decoupled from the finishing op's call stack, like the view-change
-    // reroute: the attempt issues from a fresh event. (robust_attempt
-    // re-arms the timer, replacing the parked deadline-only timer.)
-    sim.schedule_after(0, [this, op_id] { robust_attempt(op_id); });
-  }
 }
 
 void PasoRuntime::robust_attempt(std::uint64_t op_id) {
@@ -768,7 +709,7 @@ void PasoRuntime::robust_attempt(std::uint64_t op_id) {
                              op_id, result ? OpStatus::kOk : OpStatus::kFail,
                              std::move(result));
                        },
-                       op.trace, op.fanout_cap);
+                       op.trace);
       break;
     case semantics::OpKind::kReadDel:
       read_del_class_chain(op.process, op.criterion, op.classes, 0,
@@ -798,10 +739,7 @@ void PasoRuntime::robust_arm_timer(std::uint64_t op_id) {
     op.timer_armed = false;
   }
   sim::SimTime next = op.deadline;
-  const bool may_retry =
-      op.backoff != sim::kNever &&
-      (config_.max_attempts == 0 || op.attempts < config_.max_attempts);
-  if (may_retry) next = std::min(next, sim.now() + op.backoff);
+  if (op.backoff != sim::kNever) next = std::min(next, sim.now() + op.backoff);
   if (next == sim::kNever) return;  // no deadline, no retries
   op.timer = sim.schedule_at(std::max(next, sim.now()),
                              [this, op_id] { robust_timer_fired(op_id); });
@@ -818,13 +756,6 @@ void PasoRuntime::robust_timer_fired(std::uint64_t op_id) {
     robust_finish(op_id, OpStatus::kTimeout, std::nullopt);
     return;
   }
-  // A parked op arms only its deadline timer; it never retries while the
-  // admission queue holds it.
-  if (op.parked) return;
-  if (config_.max_attempts != 0 && op.attempts >= config_.max_attempts) {
-    robust_arm_timer(op_id);  // retry budget spent: wait out the deadline
-    return;
-  }
   ++retries_;
   if (obs_.metrics != nullptr) {
     obs_.metrics->counter("runtime.retries", self_).inc();
@@ -833,7 +764,7 @@ void PasoRuntime::robust_timer_fired(std::uint64_t op_id) {
     obs_.tracer->span(op.trace, obs::SpanKind::kRetry, self_, now, "backoff",
                       static_cast<double>(op.attempts));
   }
-  op.backoff *= config_.retry_backoff_factor;
+  op.backoff *= kRetryBackoffFactor;
   robust_attempt(op_id);
 }
 
@@ -845,13 +776,6 @@ void PasoRuntime::robust_finish(std::uint64_t op_id, OpStatus status,
   robust_.erase(it);
   exec::Executor& sim = groups_.network().executor();
   if (op.timer_armed) sim.cancel(op.timer);
-  if (op.parked) {
-    // Finished while waiting (deadline passed, or a crash sweep): leave no
-    // dangling id in the parking FIFO.
-    const auto queued = std::find(admission_queue_.begin(),
-                                  admission_queue_.end(), op.id);
-    if (queued != admission_queue_.end()) admission_queue_.erase(queued);
-  }
   switch (status) {
     case OpStatus::kOk:
       record_return(op.history_id, op.has_history, object);
@@ -878,10 +802,7 @@ void PasoRuntime::robust_finish(std::uint64_t op_id, OpStatus status,
   }
   trace_finish(op.trace, op_status_name(status), op.issued_at);
   if (inflight_ > 0) --inflight_;
-  if (op.admitted) {
-    if (admitted_ > 0) --admitted_;
-    admission_drain();
-  }
+  if (op.admitted && admitted_ > 0) --admitted_;
   if (op.report) {
     OpReport report;
     report.status = status;
@@ -980,7 +901,6 @@ void PasoRuntime::on_machine_crash() {
     if (op.timer_armed) sim.cancel(op.timer);
   }
   robust_.clear();
-  admission_queue_.clear();
   admitted_ = 0;
   join_pending_.clear();
   leave_pending_.clear();

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -30,18 +29,6 @@
 #include "vsync/group_service.hpp"
 
 namespace paso {
-
-/// Client-edge admission control for the robust entry points (SEDA-style
-/// per-stage admission: bound the stage's concurrency, handle the excess
-/// explicitly instead of letting queues grow without limit). The gate
-/// applies only to the *_robust operations — the plain primitives, and
-/// every baseline bench built on them, stay byte-identical.
-enum class AdmissionMode {
-  kOff,      ///< no gate (legacy behavior)
-  kReject,   ///< over-limit ops fail fast with OpStatus::kOverloaded
-  kQueue,    ///< over-limit ops park in a bounded FIFO until capacity frees
-  kDegrade,  ///< over-limit reads shed fan-out to λ−k targets; updates reject
-};
 
 struct RuntimeConfig {
   /// Fault-tolerance degree: write groups must keep more than lambda - k
@@ -65,10 +52,6 @@ struct RuntimeConfig {
   /// rotation keeps hammering replicas that are hot from *other* classes,
   /// sticky two-choice steers around them.
   bool sticky_rotation = false;
-  /// Hysteresis for sticky_rotation: the probed window wins only when its
-  /// load is below current * (1 - sticky_margin), so equal-load windows
-  /// never flap.
-  double sticky_margin = 0.05;
   /// Busy-wait retry interval for blocking operations in polling mode.
   sim::SimTime poll_interval = 200;
   /// Marker lifetime in the hybrid blocking scheme; markers are re-placed
@@ -94,13 +77,9 @@ struct RuntimeConfig {
   sim::SimTime op_deadline = sim::kNever;
   /// Delay before a robust op re-issues its gcast when no response arrived
   /// (e.g. the response was orphaned by a crash or lost in a drop window).
-  /// kNever disables retries; the deadline alone still applies.
+  /// kNever disables retries; the deadline alone still applies. The delay
+  /// doubles after every retry, and retries continue until the deadline.
   sim::SimTime retry_backoff = sim::kNever;
-  /// Multiplier applied to the backoff after every retry.
-  double retry_backoff_factor = 2.0;
-  /// Retry budget per robust op (attempts = 1 initial + retries);
-  /// 0 = unbounded.
-  std::size_t max_attempts = 0;
   /// When true, a blocking op that hits its deadline is recorded in the
   /// history as *abandoned* (maximal pessimism) instead of as a clean fail.
   /// Required under chaos: at the deadline a probe's response — or a claim's
@@ -110,16 +89,13 @@ struct RuntimeConfig {
 
   // --- admission control (overload survival) --------------------------------
 
-  /// What to do with a robust op issued while `admission_limit` robust ops
-  /// are already running on this machine. kOff (default) admits everything,
-  /// exactly the legacy behavior.
-  AdmissionMode admission = AdmissionMode::kOff;
-  /// Robust ops this runtime runs concurrently before the gate trips.
-  std::size_t admission_limit = 64;
-  /// kQueue only: parked ops beyond the active limit; when the parking lot
-  /// is also full the op is rejected (queue-then-reject, so the queue is a
-  /// shock absorber, not a second unbounded buffer).
-  std::size_t admission_queue_limit = 256;
+  /// Client-edge admission gate for the robust entry points (SEDA-style
+  /// per-stage admission: bound the stage's concurrency and refuse the
+  /// excess explicitly instead of letting a queue grow). A robust op issued
+  /// while this many robust ops are already running on this machine fails
+  /// fast with OpStatus::kOverloaded; nothing reaches the network. 0 — the
+  /// default — means no gate. The plain primitives are never gated.
+  std::size_t admission_limit = 0;
 };
 
 /// Outcome of a robust operation.
@@ -282,10 +258,8 @@ class PasoRuntime final : public GroupControl {
   std::uint64_t retries() const { return retries_; }
   std::uint64_t degraded_rejections() const { return degraded_rejections_; }
 
-  /// Admission-control counters (see RuntimeConfig::admission).
+  /// Admission-gate counters (see RuntimeConfig::admission_limit).
   std::uint64_t admission_rejections() const { return admission_rejections_; }
-  std::uint64_t admission_parked() const { return admission_parked_; }
-  std::size_t admission_queue_depth() const { return admission_queue_.size(); }
   std::size_t admitted_robust() const { return admitted_; }
 
  private:
@@ -324,14 +298,11 @@ class PasoRuntime final : public GroupControl {
     obs::TraceId trace = 0;
     sim::SimTime issued_at = 0;
     bool admitted = false;   ///< counts against admission_limit until finish
-    bool parked = false;     ///< waiting in the admission queue (kQueue)
-    std::size_t fanout_cap = 0;  ///< kDegrade: read fan-out cap (0 = none)
   };
 
   void read_class_chain(ProcessId process, SearchCriterion sc,
                         std::vector<ClassId> classes, std::size_t index,
-                        SearchCallback cb, obs::TraceId trace = 0,
-                        std::size_t fanout_cap = 0);
+                        SearchCallback cb, obs::TraceId trace = 0);
   void read_del_class_chain(ProcessId process, SearchCriterion sc,
                             std::vector<ClassId> classes, std::size_t index,
                             std::uint64_t token, SearchCallback cb,
@@ -361,10 +332,6 @@ class PasoRuntime final : public GroupControl {
   void robust_timer_fired(std::uint64_t op_id);
   void robust_finish(std::uint64_t op_id, OpStatus status,
                      SearchResponse object);
-  /// Un-park queued ops while the gate has room (kQueue drain).
-  void admission_drain();
-  /// λ−k read fan-out under AdmissionMode::kDegrade (k = machines down).
-  std::size_t degraded_fanout() const;
   std::uint64_t next_remove_token();
   sim::SimTime resolve_deadline(sim::SimTime deadline) const;
 
@@ -403,12 +370,10 @@ class PasoRuntime final : public GroupControl {
   std::uint64_t timeouts_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t degraded_rejections_ = 0;
-  /// Admission gate (RuntimeConfig::admission): robust ops currently
-  /// admitted, the FIFO of parked op ids (kQueue), and totals.
+  /// Admission gate (RuntimeConfig::admission_limit): robust ops currently
+  /// admitted, and refusals so far.
   std::size_t admitted_ = 0;
-  std::deque<std::uint64_t> admission_queue_;
   std::uint64_t admission_rejections_ = 0;
-  std::uint64_t admission_parked_ = 0;
 };
 
 }  // namespace paso

@@ -100,15 +100,13 @@ Cost PersistenceManager::write_checkpoint(ClassId cls, CheckpointImage image,
   stats_.checkpoint_bytes += bytes.size();
   count("persist.checkpoints");
   count("persist.checkpoint_bytes", static_cast<double>(bytes.size()));
-  if (config_.compact_on_checkpoint) {
-    // The image covers everything up to image.lsn; on the apply path that is
-    // the entire log, so compaction is a truncate-to-empty. (A scan-and-keep
-    // of newer records would be needed only for images taken mid-stream,
-    // which no caller produces.)
-    cost += disk_.truncate(log_file(cls), 0);
-    ++stats_.compactions;
-    count("persist.compactions");
-  }
+  // The image covers everything up to image.lsn; on the apply path that is
+  // the entire log, so compaction is a truncate-to-empty. (A scan-and-keep
+  // of newer records would be needed only for images taken mid-stream,
+  // which no caller produces.)
+  cost += disk_.truncate(log_file(cls), 0);
+  ++stats_.compactions;
+  count("persist.compactions");
   d.checkpoint_lsn = image.lsn;
   d.durable_lsn = std::max(d.durable_lsn, image.lsn);
   d.last_checkpoint_at = now;

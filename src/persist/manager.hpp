@@ -48,10 +48,6 @@ struct PersistenceConfig {
   /// (checked lazily on the next applied op — no standing timers, so an
   /// idle simulator still drains). kNever disables the age trigger.
   sim::SimTime checkpoint_interval = sim::kNever;
-  /// Truncate the log behind every checkpoint. Turning this off keeps the
-  /// whole history on disk (deltas reach arbitrarily far back) at unbounded
-  /// space cost.
-  bool compact_on_checkpoint = true;
 };
 
 /// What recovery found on disk for one class.

@@ -217,7 +217,7 @@ int machine_endpoint_main(const EndpointConfig& config) {
     p.events = 0;
     // Backpressure-aware read: a full ingress parks POLLIN, so the kernel
     // receive buffer fills and TCP carrier-senses back onto the broker.
-    if (ingress.size() < config.ingress_capacity) p.events |= POLLIN;
+    if (ingress.size() < kIngressCapacity) p.events |= POLLIN;
     if (out_off < outbuf.size()) p.events |= POLLOUT;
     const auto until_beat = std::chrono::duration_cast<std::chrono::milliseconds>(
         next_beat - Clock::now());
@@ -243,7 +243,7 @@ int machine_endpoint_main(const EndpointConfig& config) {
     if (p.revents & POLLIN) {
       char buf[65536];
       for (;;) {
-        if (ingress.size() >= config.ingress_capacity) break;
+        if (ingress.size() >= kIngressCapacity) break;
         const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
         if (n == 0) {
           ::close(fd);

@@ -16,17 +16,19 @@
 //     even sooner);
 //   * on kShutdown, drain the ingress, say kBye, and exit 0.
 //
-// The loop runs either inside a forked child (proc::spawn_machine_process
-// with no exec path) or as the main of the dedicated `paso_machined`
-// binary (exec mode). It never touches protocol state: the protocol stack
-// lives in the broker, keyed by the frame sequence numbers this loop
-// round-trips.
+// The loop runs inside a child forked by proc::spawn_machine_process. It
+// never touches protocol state: the protocol stack lives in the broker,
+// keyed by the frame sequence numbers this loop round-trips.
 #pragma once
 
 #include <cstdint>
 #include <cstddef>
 
 namespace paso::proc {
+
+/// Ingress buffer bound: kMsg frames held but not yet acked. When full, the
+/// loop stops reading the socket (TCP backpressure to the broker).
+inline constexpr std::size_t kIngressCapacity = 1024;
 
 struct EndpointConfig {
   /// Broker's listening port on 127.0.0.1.
@@ -35,9 +37,6 @@ struct EndpointConfig {
   std::uint32_t machine = 0;
   /// Spawn token proving this connection belongs to the expected child.
   std::uint64_t token = 0;
-  /// Ingress buffer bound: kMsg frames held but not yet acked. When full,
-  /// the loop stops reading the socket (TCP backpressure to the broker).
-  std::size_t ingress_capacity = 1024;
   /// Microseconds between heartbeat beacons.
   long heartbeat_interval_us = 25'000;
 };

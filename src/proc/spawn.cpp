@@ -2,81 +2,16 @@
 
 #include <unistd.h>
 
-#include <cstdlib>
-#include <cstring>
-#include <vector>
-
 namespace paso::proc {
 
-std::string endpoint_arg_port(const EndpointConfig& c) {
-  return "--port=" + std::to_string(c.port);
-}
-std::string endpoint_arg_machine(const EndpointConfig& c) {
-  return "--machine=" + std::to_string(c.machine);
-}
-std::string endpoint_arg_token(const EndpointConfig& c) {
-  return "--token=" + std::to_string(c.token);
-}
-std::string endpoint_arg_ingress(const EndpointConfig& c) {
-  return "--ingress=" + std::to_string(c.ingress_capacity);
-}
-std::string endpoint_arg_heartbeat(const EndpointConfig& c) {
-  return "--heartbeat-us=" + std::to_string(c.heartbeat_interval_us);
-}
-
-bool parse_endpoint_arg(const char* arg, EndpointConfig& config) {
-  const auto value_of = [&](const char* prefix) -> const char* {
-    const std::size_t len = std::strlen(prefix);
-    return std::strncmp(arg, prefix, len) == 0 ? arg + len : nullptr;
-  };
-  if (const char* v = value_of("--port=")) {
-    config.port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
-    return true;
-  }
-  if (const char* v = value_of("--machine=")) {
-    config.machine = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-    return true;
-  }
-  if (const char* v = value_of("--token=")) {
-    config.token = std::strtoull(v, nullptr, 10);
-    return true;
-  }
-  if (const char* v = value_of("--ingress=")) {
-    config.ingress_capacity = std::strtoull(v, nullptr, 10);
-    return true;
-  }
-  if (const char* v = value_of("--heartbeat-us=")) {
-    config.heartbeat_interval_us = std::strtol(v, nullptr, 10);
-    return true;
-  }
-  return false;
-}
-
-int spawn_machine_process(const SpawnSpec& spec) {
+int spawn_machine_process(const EndpointConfig& endpoint) {
   const pid_t pid = ::fork();
   if (pid < 0) return -1;
   if (pid > 0) return static_cast<int>(pid);
 
-  // Child. Never return into the caller's stack: run the endpoint (or exec
-  // the dedicated binary) and _exit so no parent-side destructors run here.
-  if (!spec.exec_path.empty()) {
-    const std::string a_port = endpoint_arg_port(spec.endpoint);
-    const std::string a_machine = endpoint_arg_machine(spec.endpoint);
-    const std::string a_token = endpoint_arg_token(spec.endpoint);
-    const std::string a_ingress = endpoint_arg_ingress(spec.endpoint);
-    const std::string a_beat = endpoint_arg_heartbeat(spec.endpoint);
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(spec.exec_path.c_str()));
-    argv.push_back(const_cast<char*>(a_port.c_str()));
-    argv.push_back(const_cast<char*>(a_machine.c_str()));
-    argv.push_back(const_cast<char*>(a_token.c_str()));
-    argv.push_back(const_cast<char*>(a_ingress.c_str()));
-    argv.push_back(const_cast<char*>(a_beat.c_str()));
-    argv.push_back(nullptr);
-    ::execv(spec.exec_path.c_str(), argv.data());
-    ::_exit(127);  // exec failed
-  }
-  ::_exit(machine_endpoint_main(spec.endpoint));
+  // Child. Never return into the caller's stack: run the endpoint and _exit
+  // so no parent-side destructors run here.
+  ::_exit(machine_endpoint_main(endpoint));
 }
 
 }  // namespace paso::proc

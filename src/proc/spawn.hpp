@@ -1,48 +1,20 @@
-// Machine-process launcher: fork (or fork+exec) one endpoint per machine.
+// Machine-process launcher: fork one endpoint per machine.
 //
-// Two launch modes share one spec:
+// The child continues from fork() straight into proc::machine_endpoint_main
+// and _exit()s with its return code. That is only safe while the forking
+// process is effectively single-threaded — which is why SocketTransport
+// forks every child *before* starting any of its own threads.
 //
-//   * fork-only (exec_path empty): the child continues from fork() straight
-//     into proc::machine_endpoint_main and _exit()s with its return code.
-//     This is the default for tests and in-binary clusters. It is only safe
-//     while the forking process is effectively single-threaded — which is
-//     why SocketTransport forks every child *before* starting any of its
-//     own threads.
-//   * fork+exec (exec_path set, normally the `paso_machined` tool): the
-//     child execs a fresh image and parses the same spec from argv. The
-//     fully-isolated mode for long-lived deployments.
-//
-// Either way the child is a real OS process with its own pid: it can be
-// SIGKILLed, it shows up in `ps`, and its death is what the supervisor's
-// heartbeat/EOF detection turns into the protocol's crash path.
+// The child is a real OS process with its own pid: it can be SIGKILLed, it
+// shows up in `ps`, and its death is what the supervisor's heartbeat/EOF
+// detection turns into the protocol's crash path.
 #pragma once
-
-#include <cstdint>
-#include <string>
 
 #include "proc/endpoint.hpp"
 
 namespace paso::proc {
 
-struct SpawnSpec {
-  EndpointConfig endpoint;
-  /// Path to a `paso_machined`-compatible binary; empty = fork-only mode.
-  std::string exec_path;
-};
-
 /// Launch one machine process. Returns the child pid, or -1 on failure.
-int spawn_machine_process(const SpawnSpec& spec);
-
-/// argv for exec mode, matching what tools/paso_machined parses.
-/// (Exposed so the tool and the launcher can never drift apart.)
-std::string endpoint_arg_port(const EndpointConfig& c);
-std::string endpoint_arg_machine(const EndpointConfig& c);
-std::string endpoint_arg_token(const EndpointConfig& c);
-std::string endpoint_arg_ingress(const EndpointConfig& c);
-std::string endpoint_arg_heartbeat(const EndpointConfig& c);
-
-/// Parse a `--key=value` endpoint argument into `config`; returns false on
-/// an unknown or malformed argument. Used by tools/paso_machined.
-bool parse_endpoint_arg(const char* arg, EndpointConfig& config);
+int spawn_machine_process(const EndpointConfig& endpoint);
 
 }  // namespace paso::proc

@@ -7,6 +7,17 @@
 
 namespace paso::vsync {
 
+namespace {
+
+/// Server-side time charged per transferred byte when a joiner installs
+/// donated state; together with the bus cost of the transfer this makes
+/// time(g-join) = Theta(l), the paper's join cost K.
+constexpr Cost kInstallCostPerByte = 1.0;
+/// Multiplier applied to the retransmit timeout after each round.
+constexpr double kRetransmitBackoff = 2.0;
+
+}  // namespace
+
 GroupService::GroupService(net::Transport& network, Options options)
     : network_(network),
       options_(options),
@@ -224,7 +235,7 @@ void GroupService::schedule_retransmit(const GroupName& name,
                       member_deliver(name, op_id, member);
                     });
     }
-    schedule_retransmit(name, op_id, delay * options_.retransmit_backoff);
+    schedule_retransmit(name, op_id, delay * kRetransmitBackoff);
   });
 }
 
@@ -419,8 +430,7 @@ void GroupService::dispatch_join(const GroupName& name, Op& op) {
   if (position.valid) delta = donor_ep->capture_delta(name, position);
   const bool is_delta = delta.has_value();
   StateBlob blob = is_delta ? std::move(*delta) : donor_ep->capture_state(name);
-  const Cost copy_cost =
-      options_.install_cost_per_byte * static_cast<Cost>(blob.bytes);
+  const Cost copy_cost = kInstallCostPerByte * static_cast<Cost>(blob.bytes);
   network_.ledger().charge_work(donor, copy_cost);
   if (obs_.metrics != nullptr) {
     if (is_delta) {
@@ -502,7 +512,7 @@ void GroupService::send_transfer(const GroupName& name, std::uint64_t op_id,
           }
           send_transfer(name, op_id, seq, donor, copy_cost, is_delta,
                         std::move(blob),
-                        retry_delay * options_.retransmit_backoff);
+                        retry_delay * kRetransmitBackoff);
         });
   }
 }

@@ -49,18 +49,13 @@ struct GroupServiceOptions {
   /// Delay between a crash and the membership service expelling the
   /// machine from its groups (models ISIS failure detection).
   sim::SimTime failure_detection_delay = 50.0;
-  /// Server-side time charged per transferred byte when a joiner installs
-  /// donated state; together with the bus cost of the transfer this makes
-  /// time(g-join) = Theta(l), the paper's join cost K.
-  Cost install_cost_per_byte = 1.0;
   /// Ack timeout after which a gcast's undelivered targets are re-sent the
-  /// message (ISIS reliable delivery over a lossy link). Infinity — the
-  /// default — disables retransmission entirely: the fault-free bus never
-  /// loses a message, and the Table 1 cost assertions rely on exact message
-  /// counts. Chaos runs with drop windows must set this finite.
+  /// message (ISIS reliable delivery over a lossy link); the timeout doubles
+  /// after each retransmission round. Infinity — the default — disables
+  /// retransmission entirely: the fault-free bus never loses a message, and
+  /// the Table 1 cost assertions rely on exact message counts. Chaos runs
+  /// with drop windows must set this finite.
   sim::SimTime retransmit_timeout = sim::kNever;
-  /// Multiplier applied to the timeout after each retransmission round.
-  double retransmit_backoff = 2.0;
 };
 
 class GroupService {

@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "paso/fault_injector.hpp"
+#include "paso/chaos.hpp"
 #include "semantics/checker.hpp"
 
 namespace paso {

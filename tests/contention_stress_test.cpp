@@ -5,6 +5,9 @@
 // sequence run through the middle of the traffic. The assertions are about
 // integrity, not speed: every op from a live machine reaches a terminal
 // status, nothing wedges, and the membership maths still hold afterwards.
+// The scenario runs twice: without an admission gate, and with a gate of 2
+// robust ops per machine, whose refusals must come back as typed
+// kOverloaded reports while the op domains stay narrow.
 // Label `threaded`: this runs under ThreadSanitizer in CI, where a missing
 // happens-before edge between shard sets fails deterministically.
 #include <atomic>
@@ -54,10 +57,12 @@ bool wait_until(const std::function<bool()>& pred, int timeout_ms = 15000) {
 struct Counts {
   std::atomic<int> reports{0};
   std::atomic<int> terminal{0};
+  std::atomic<int> overloaded{0};
 
   std::function<void(OpReport)> reporter() {
     return [this](OpReport r) {
       reports.fetch_add(1);
+      if (r.status == OpStatus::kOverloaded) overloaded.fetch_add(1);
       switch (r.status) {
         case OpStatus::kOk:
         case OpStatus::kFail:
@@ -71,7 +76,7 @@ struct Counts {
   }
 };
 
-TEST(ContentionStress, RobustOpsAndViewChangeUnderClientLoad) {
+void run_contention(std::size_t admission_limit) {
   Counts robust;  // outlives the cluster: a late delivery must not UAF
   ClusterConfig config;
   config.machines = kMachines;
@@ -82,6 +87,7 @@ TEST(ContentionStress, RobustOpsAndViewChangeUnderClientLoad) {
   // not the test; short backoff keeps retries inside the test window.
   config.runtime.op_deadline = 2'000'000;
   config.runtime.retry_backoff = 20'000;
+  config.runtime.admission_limit = admission_limit;
   Cluster cluster(partitioned_schema(), config);
   for (std::size_t p = 0; p < kMachines; ++p) {
     cluster.set_basic_support(
@@ -174,6 +180,15 @@ TEST(ContentionStress, RobustOpsAndViewChangeUnderClientLoad) {
   EXPECT_GT(sync_ok.load(), 0u);
   EXPECT_EQ(robust.reports.load(), robust_issued);
   EXPECT_EQ(robust.terminal.load(), robust.reports.load());
+  if (admission_limit == 0) {
+    EXPECT_EQ(robust.overloaded.load(), 0);
+  } else {
+    // Each of the three issuers fires 8 robust ops in one exclusive burst.
+    // An insert holds its slot until its gcast returns, so after two
+    // admitted inserts (and at most one local read between them) the gate
+    // is shut: at least 5 of every 8 are refused.
+    EXPECT_GE(robust.overloaded.load(), 3 * 5);
+  }
   for (std::size_t m = 0; m < kMachines; ++m) {
     EXPECT_EQ(cluster.runtime(MachineId{static_cast<std::uint32_t>(m)})
                   .inflight(),
@@ -182,6 +197,14 @@ TEST(ContentionStress, RobustOpsAndViewChangeUnderClientLoad) {
   }
   EXPECT_TRUE(cluster.is_up(MachineId{7}));
   EXPECT_TRUE(cluster.fault_tolerance_condition_holds());
+}
+
+TEST(ContentionStress, RobustOpsAndViewChangeUnderClientLoad) {
+  run_contention(/*admission_limit=*/0);
+}
+
+TEST(ContentionStress, RobustOpsAndViewChangeUnderClientLoadWithAdmissionGate) {
+  run_contention(/*admission_limit=*/2);
 }
 
 }  // namespace

@@ -4,10 +4,9 @@
 // The bridge tests are the regression suite for the unbounded-ingress bug:
 // a one-directional flood across a bridge used to queue without limit at
 // the destination bus; with Topology::with_bridge_limit the queue depth is
-// capped and the overflow is shed (counted) or back-pressured onto the
-// source bus. The admission tests pin the RuntimeConfig::admission modes:
-// reject fails fast with the typed Overloaded outcome, queue parks and
-// drains FIFO within its own bound, degrade shrinks read fan-out to λ−k.
+// capped and the overflow is shed (counted). The admission tests pin
+// RuntimeConfig::admission_limit: over the limit a robust op fails fast
+// with the typed Overloaded outcome, and 0 means no gate.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -35,12 +34,12 @@ constexpr CostModel kDst{10.0, 1.0};  // 64 B costs 74
 constexpr Cost kBridgeAlpha = 5;
 constexpr Cost kBridgeBeta = 0.1;  // 64 B bridge hop costs 11.4
 
-net::Topology two_segments(std::size_t bridge_capacity = net::kUnboundedBridge,
-                           net::BridgePolicy policy = net::BridgePolicy::kShed) {
+net::Topology two_segments(
+    std::size_t bridge_capacity = net::kUnboundedBridge) {
   net::Topology t({net::Segment{kSrc}, net::Segment{kDst}},
                   {0, 0, 0, 1, 1, 1}, kBridgeAlpha, kBridgeBeta);
   if (bridge_capacity != net::kUnboundedBridge) {
-    t.with_bridge_limit(bridge_capacity, policy);
+    t.with_bridge_limit(bridge_capacity);
   }
   return t;
 }
@@ -49,7 +48,6 @@ struct FloodResult {
   std::size_t delivered = 0;
   std::size_t queue_peak = 0;
   std::uint64_t shed = 0;
-  std::uint64_t backpressured = 0;
   double msg_cost = 0;
   sim::SimTime src_free = 0;
   sim::SimTime done_at = 0;
@@ -75,7 +73,6 @@ FloodResult flood(const net::Topology& topology, int rounds = 20) {
   sim.run();
   r.queue_peak = net.bridge_queue_peak(1);
   r.shed = net.bridge_shed();
-  r.backpressured = net.bridge_backpressured();
   r.msg_cost = net.ledger().total_msg_cost();
   r.src_free = net.segment_free_at(0);
   return r;
@@ -93,10 +90,9 @@ TEST(BoundedBridgeTest, UnboundedFloodGrowsTheIngressWithoutLimit) {
 }
 
 TEST(BoundedBridgeTest, CapShedsOverflowAndBoundsTheQueue) {
-  const FloodResult r = flood(two_segments(4, net::BridgePolicy::kShed), 20);
+  const FloodResult r = flood(two_segments(4), 20);
   EXPECT_LE(r.queue_peak, 4u);
   EXPECT_GT(r.shed, 0u);
-  EXPECT_EQ(r.backpressured, 0u);
   // Shed messages still transmitted on the source bus and crossed the
   // bridge, but never reached the destination.
   EXPECT_EQ(r.delivered + r.shed, 60u);
@@ -105,7 +101,7 @@ TEST(BoundedBridgeTest, CapShedsOverflowAndBoundsTheQueue) {
 TEST(BoundedBridgeTest, ShedCrossingsChargeSourceAndBridgeOnly) {
   // Every crossing costs src + bridge; only delivered ones add dst. With
   // uniform 64-byte messages the ledger total must decompose exactly.
-  const FloodResult r = flood(two_segments(4, net::BridgePolicy::kShed), 20);
+  const FloodResult r = flood(two_segments(4), 20);
   const double src = kSrc.message(64);
   const double bridge = kBridgeAlpha + kBridgeBeta * 64;
   const double dst = kDst.message(64);
@@ -114,26 +110,11 @@ TEST(BoundedBridgeTest, ShedCrossingsChargeSourceAndBridgeOnly) {
   EXPECT_NEAR(r.msg_cost, expected, 1e-6);  // summation order differs
 }
 
-TEST(BoundedBridgeTest, BackpressureDeliversEverythingByStallingTheSource) {
-  const FloodResult capped =
-      flood(two_segments(2, net::BridgePolicy::kBackpressure), 20);
-  const FloodResult open = flood(two_segments(), 20);
-  EXPECT_EQ(capped.delivered, 60u);
-  EXPECT_EQ(capped.shed, 0u);
-  EXPECT_GT(capped.backpressured, 0u);
-  EXPECT_LE(capped.queue_peak, 2u);
-  // The stall shows up where it should: the source bus stays busy longer
-  // than in the unbounded run, and nothing finishes earlier.
-  EXPECT_GT(capped.src_free, open.src_free);
-  EXPECT_GE(capped.done_at, open.done_at);
-}
-
 TEST(BoundedBridgeTest, LooseCapIsBitForBitTheLegacyBehavior) {
   // A cap that never binds must not perturb a single timestamp or charge.
   const FloodResult open = flood(two_segments(), 20);
   const FloodResult loose = flood(two_segments(1 << 20), 20);
   EXPECT_EQ(loose.shed, 0u);
-  EXPECT_EQ(loose.backpressured, 0u);
   EXPECT_DOUBLE_EQ(loose.msg_cost, open.msg_cost);
   EXPECT_DOUBLE_EQ(loose.done_at, open.done_at);
   EXPECT_DOUBLE_EQ(loose.src_free, open.src_free);
@@ -145,10 +126,9 @@ TEST(BoundedBridgeTest, CapSurvivesDegenerateResolve) {
   // (single-bus networks have no crossings, but the config must not be
   // silently dropped when a cluster resolves its topology).
   net::Topology t;
-  t.with_bridge_limit(8, net::BridgePolicy::kBackpressure);
+  t.with_bridge_limit(8);
   const net::Topology resolved = t.resolve(4, CostModel{});
   EXPECT_EQ(resolved.bridge_capacity(), 8u);
-  EXPECT_EQ(resolved.bridge_policy(), net::BridgePolicy::kBackpressure);
   EXPECT_TRUE(resolved.bounded_bridges());
 }
 
@@ -167,14 +147,11 @@ SearchCriterion by_key(std::int64_t key) {
   return criterion(Exact{Value{key}}, TypedAny{FieldType::kText});
 }
 
-ClusterConfig admission_config(AdmissionMode mode, std::size_t limit,
-                               std::size_t queue_limit = 256) {
+ClusterConfig admission_config(std::size_t limit) {
   ClusterConfig cfg;
   cfg.machines = kMachines;
   cfg.lambda = 1;
-  cfg.runtime.admission = mode;
   cfg.runtime.admission_limit = limit;
-  cfg.runtime.admission_queue_limit = queue_limit;
   return cfg;
 }
 
@@ -194,7 +171,7 @@ std::vector<OpStatus> burst_reads(Cluster& cluster, int count) {
 }
 
 TEST(AdmissionTest, RejectFailsFastWithTypedOverloadedOutcome) {
-  Cluster cluster(task_schema(), admission_config(AdmissionMode::kReject, 2));
+  Cluster cluster(task_schema(), admission_config(2));
   cluster.assign_basic_support();
   ASSERT_TRUE(cluster.insert_sync(cluster.process(MachineId{0}), task(0)));
 
@@ -214,122 +191,36 @@ TEST(AdmissionTest, RejectFailsFastWithTypedOverloadedOutcome) {
   EXPECT_EQ(rt.admitted_robust(), 0u);
 }
 
-TEST(AdmissionTest, QueueParksOverflowAndDrainsItCompletely) {
-  Cluster cluster(task_schema(), admission_config(AdmissionMode::kQueue, 1));
-  cluster.assign_basic_support();
-  ASSERT_TRUE(cluster.insert_sync(cluster.process(MachineId{0}), task(0)));
-
-  const std::vector<OpStatus> statuses = burst_reads(cluster, 5);
-  ASSERT_EQ(statuses.size(), 5u);
-  for (const OpStatus s : statuses) EXPECT_EQ(s, OpStatus::kOk);
-  PasoRuntime& rt = cluster.runtime(MachineId{5});
-  EXPECT_EQ(rt.admission_rejections(), 0u);
-  EXPECT_EQ(rt.admission_parked(), 4u);
-  EXPECT_EQ(rt.admission_queue_depth(), 0u);
-  EXPECT_EQ(rt.inflight(), 0u);
-}
-
-TEST(AdmissionTest, FullParkingLotRejectsTheExcess) {
-  Cluster cluster(task_schema(),
-                  admission_config(AdmissionMode::kQueue, 1, /*queue=*/2));
-  cluster.assign_basic_support();
-  ASSERT_TRUE(cluster.insert_sync(cluster.process(MachineId{0}), task(0)));
-
-  const std::vector<OpStatus> statuses = burst_reads(cluster, 6);
-  int ok = 0;
-  int overloaded = 0;
-  for (const OpStatus s : statuses) {
-    if (s == OpStatus::kOk) ++ok;
-    if (s == OpStatus::kOverloaded) ++overloaded;
-  }
-  // 1 admitted + 2 parked complete; 3 found both the gate and the lot full.
-  EXPECT_EQ(ok, 3);
-  EXPECT_EQ(overloaded, 3);
-  EXPECT_EQ(cluster.runtime(MachineId{5}).admission_rejections(), 3u);
-}
-
-TEST(AdmissionTest, DegradeShrinksReadFanoutInsteadOfRejecting) {
-  Cluster cluster(task_schema(), admission_config(AdmissionMode::kDegrade, 1));
-  cluster.assign_basic_support();
-  ASSERT_TRUE(cluster.insert_sync(cluster.process(MachineId{0}), task(0)));
-  cluster.ledger().reset();
-
-  const std::vector<OpStatus> statuses = burst_reads(cluster, 4);
-  ASSERT_EQ(statuses.size(), 4u);
-  for (const OpStatus s : statuses) EXPECT_EQ(s, OpStatus::kOk);
-  // One admitted read fans out to lambda+1 = 2 targets; the three degraded
-  // ones shrink to lambda - k = 1 target each: 2 + 3 = 5 mem-reads.
-  EXPECT_EQ(cluster.ledger().per_tag().at("mem-read").messages, 5u);
-  EXPECT_EQ(cluster.runtime(MachineId{5}).admission_rejections(), 0u);
-}
-
-TEST(AdmissionTest, DegradeStillRejectsUpdatesOverTheLimit) {
-  Cluster cluster(task_schema(), admission_config(AdmissionMode::kDegrade, 1));
-  cluster.assign_basic_support();
-
-  PasoRuntime& rt = cluster.runtime(MachineId{5});
-  const ProcessId writer = cluster.process(MachineId{5});
-  std::vector<OpStatus> statuses;
-  for (int i = 0; i < 3; ++i) {
-    rt.insert_robust(writer, task(i),
-                     [&statuses](OpReport r) { statuses.push_back(r.status); });
-  }
-  cluster.settle();
-  ASSERT_EQ(statuses.size(), 3u);
-  int ok = 0;
-  int overloaded = 0;
-  for (const OpStatus s : statuses) {
-    if (s == OpStatus::kOk) ++ok;
-    if (s == OpStatus::kOverloaded) ++overloaded;
-  }
-  // Updates cannot shrink their replica set — over-limit inserts reject.
-  EXPECT_EQ(ok, 1);
-  EXPECT_EQ(overloaded, 2);
-}
-
-TEST(AdmissionTest, ParkedOpsStillHonorTheirDeadline) {
-  ClusterConfig cfg = admission_config(AdmissionMode::kQueue, 1);
-  cfg.runtime.op_deadline = 50;  // shorter than any remote round trip
-  Cluster cluster(task_schema(), cfg);
-  cluster.assign_basic_support();
-  ASSERT_TRUE(cluster.insert_sync(cluster.process(MachineId{0}), task(0)));
-
-  const std::vector<OpStatus> statuses = burst_reads(cluster, 4);
-  ASSERT_EQ(statuses.size(), 4u);
-  int timed_out = 0;
-  for (const OpStatus s : statuses) {
-    if (s == OpStatus::kTimeout) ++timed_out;
-  }
-  // With a 50-unit deadline the admitted op may or may not finish, but no
-  // parked op can wait past its deadline — and none may hang.
-  EXPECT_GE(timed_out, 3);
-  EXPECT_EQ(cluster.runtime(MachineId{5}).inflight(), 0u);
-  EXPECT_EQ(cluster.runtime(MachineId{5}).admission_queue_depth(), 0u);
-}
-
 TEST(AdmissionTest, CrashClearsTheGateAndTheParkingLot) {
-  Cluster cluster(task_schema(), admission_config(AdmissionMode::kQueue, 1));
+  Cluster cluster(task_schema(), admission_config(1));
   cluster.assign_basic_support();
   ASSERT_TRUE(cluster.insert_sync(cluster.process(MachineId{0}), task(0)));
 
   PasoRuntime& rt = cluster.runtime(MachineId{5});
   const ProcessId reader = cluster.process(MachineId{5});
   int reports = 0;
+  int overloaded = 0;
   for (int i = 0; i < 4; ++i) {
-    rt.read_robust(reader, by_key(0), [&reports](OpReport) { ++reports; });
+    rt.read_robust(reader, by_key(0), [&](OpReport r) {
+      ++reports;
+      if (r.status == OpStatus::kOverloaded) ++overloaded;
+    });
   }
-  EXPECT_GT(rt.admission_queue_depth(), 0u);
+  // One read holds the gate; the other three were refused inline.
+  EXPECT_EQ(overloaded, 3);
+  EXPECT_EQ(reports, 3);
+  EXPECT_EQ(rt.admitted_robust(), 1u);
+  EXPECT_EQ(rt.inflight(), 1u);
   cluster.crash(MachineId{5});
-  EXPECT_EQ(rt.admission_queue_depth(), 0u);
   EXPECT_EQ(rt.admitted_robust(), 0u);
   EXPECT_EQ(rt.inflight(), 0u);
   cluster.settle();
-  // The crash orphaned every in-flight op: no callback may fire afterwards.
-  EXPECT_EQ(reports, 0);
+  // The crash orphaned the admitted op: no callback may fire afterwards.
+  EXPECT_EQ(reports, 3);
 }
 
 TEST(AdmissionTest, OffModeKeepsLegacyBehaviorAndZeroCounters) {
-  Cluster cluster(task_schema(), admission_config(AdmissionMode::kOff, 1));
+  Cluster cluster(task_schema(), admission_config(0));
   cluster.assign_basic_support();
   ASSERT_TRUE(cluster.insert_sync(cluster.process(MachineId{0}), task(0)));
 
@@ -337,7 +228,6 @@ TEST(AdmissionTest, OffModeKeepsLegacyBehaviorAndZeroCounters) {
   for (const OpStatus s : statuses) EXPECT_EQ(s, OpStatus::kOk);
   PasoRuntime& rt = cluster.runtime(MachineId{5});
   EXPECT_EQ(rt.admission_rejections(), 0u);
-  EXPECT_EQ(rt.admission_parked(), 0u);
 }
 
 TEST(AdmissionTest, OverloadedStatusHasAName) {

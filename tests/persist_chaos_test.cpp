@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "paso/fault_injector.hpp"
+#include "paso/chaos.hpp"
 #include "persist/manager.hpp"
 #include "semantics/checker.hpp"
 

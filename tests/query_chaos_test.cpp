@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "paso/fault_injector.hpp"
+#include "paso/chaos.hpp"
 #include "semantics/checker.hpp"
 #include "storage/indexed_store.hpp"
 

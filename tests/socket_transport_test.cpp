@@ -127,7 +127,7 @@ TEST(SocketTransport, BoundedBridgeShedsWithoutReordering) {
   // in send order.
   net::Topology topology({net::Segment{}, net::Segment{}}, {0, 1},
                          /*bridge_alpha=*/5, /*bridge_beta=*/0.1);
-  topology.with_bridge_limit(4, net::BridgePolicy::kShed);
+  topology.with_bridge_limit(4);
   SocketTransport transport(CostModel{1.0, 0.0}, 2, topology);
   constexpr int kBurst = 2000;
   std::vector<int> seen;

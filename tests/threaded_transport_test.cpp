@@ -123,7 +123,7 @@ TEST(ThreadedTransport, BoundedBridgeShedsCrossingBurstsFifo) {
   // it must never reorder it.
   net::Topology topology({net::Segment{}, net::Segment{}}, {0, 1},
                          /*bridge_alpha=*/5, /*bridge_beta=*/0.1);
-  topology.with_bridge_limit(4, net::BridgePolicy::kShed);
+  topology.with_bridge_limit(4);
   net::ThreadedTransportOptions options;
   options.ring_capacity = 2;  // 1 usable slot: crossings spill immediately
   ThreadedTransport transport(CostModel{1.0, 0.0}, 2, topology, options);
@@ -155,7 +155,7 @@ TEST(ThreadedTransport, BridgeCapIgnoresIntraSegmentTraffic) {
   // the overflow lane without ever being shed, whatever its depth.
   net::Topology topology({net::Segment{}, net::Segment{}}, {0, 0, 1},
                          /*bridge_alpha=*/5, /*bridge_beta=*/0.1);
-  topology.with_bridge_limit(1, net::BridgePolicy::kShed);
+  topology.with_bridge_limit(1);
   net::ThreadedTransportOptions options;
   options.ring_capacity = 2;
   ThreadedTransport transport(CostModel{1.0, 0.0}, 3, topology, options);
@@ -250,7 +250,7 @@ TEST(ThreadedCluster, EightMachinesUnderConcurrentClientLoad) {
     EXPECT_GT(cluster.ledger().total_msg_cost(), 0.0);
     EXPECT_GT(cluster.ledger().total_work(), 0.0);
   });
-  EXPECT_GT(cluster.threaded_transport().messages(), 0u);
+  EXPECT_GT(cluster.real_clock_transport().messages(), 0u);
 }
 
 TEST(ThreadedCluster, SettleForSleepsWallMicroseconds) {

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "paso/fault_injector.hpp"
+#include "paso/chaos.hpp"
 #include "semantics/checker.hpp"
 
 namespace paso {

@@ -33,7 +33,7 @@ net::Topology bounded_topology() {
   net::Topology topology(
       {net::Segment{CostModel{10, 1}}, net::Segment{CostModel{20, 0.5}}},
       {0, 1}, /*bridge_alpha=*/5, /*bridge_beta=*/0.25);
-  topology.with_bridge_limit(2, net::BridgePolicy::kShed);
+  topology.with_bridge_limit(2);
   return topology;
 }
 

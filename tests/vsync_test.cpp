@@ -96,7 +96,7 @@ class GroupServiceTest : public ::testing::Test {
 
   sim::Simulator simulator_;
   net::BusNetwork network_{simulator_, CostModel{10.0, 1.0}, kMachines};
-  GroupService service_{network_, GroupServiceOptions{50.0, 1.0}};
+  GroupService service_{network_, GroupServiceOptions{50.0}};
   std::vector<std::unique_ptr<TestEndpoint>> endpoints_;
 };
 

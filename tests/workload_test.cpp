@@ -195,7 +195,6 @@ TEST(TrafficEngineTest, CrashedHomeMachineFailsOverToTheNextLiveOne) {
 
 TEST(TrafficEngineTest, AdmissionControlSurfacesOverloadedInTheReport) {
   ClusterConfig cc = small_cluster();
-  cc.runtime.admission = AdmissionMode::kReject;
   cc.runtime.admission_limit = 1;
   Cluster cluster(task_schema(), cc);
   cluster.assign_basic_support();
