@@ -41,11 +41,10 @@ IndexedStore::IndexedStore(std::vector<std::size_t> indexed_fields,
       std::unique(indexed_fields.begin(), indexed_fields.end()),
       indexed_fields.end());
   PASO_REQUIRE(!indexed_fields.empty(), "IndexedStore needs >= 1 field");
-  indexes_.reserve(indexed_fields.size());
-  for (const std::size_t field : indexed_fields) {
-    FieldIndex index;
-    index.field = field;
-    indexes_.push_back(std::move(index));
+  // Sized once: a FieldIndex is not movable (its sorted twin owns a tree).
+  indexes_ = std::vector<FieldIndex>(indexed_fields.size());
+  for (std::size_t i = 0; i < indexed_fields.size(); ++i) {
+    indexes_[i].field = indexed_fields[i];
   }
 }
 
@@ -77,7 +76,7 @@ void IndexedStore::store(PasoObject object, std::uint64_t age) {
     if (index.field >= stored->fields.size()) continue;
     const Value& value = stored->fields[index.field];
     index.buckets[value_hash(value)].push_back(age);
-    if (options_.ordered) index.sorted[value].push_back(age);
+    if (options_.ordered) index.sorted.insert(value, age);
     ++index.entries;
   }
 }
@@ -89,27 +88,6 @@ const IndexedStore::FieldIndex& IndexedStore::index_of(
   }
   PASO_REQUIRE(false, "plan step names an unknown index");
   return indexes_.front();
-}
-
-IndexedStore::SortedIter IndexedStore::region_first(
-    const FieldIndex& index, const SortedRegion& region) const {
-  if (!region.lo) return index.sorted.lower_bound(type_min(region.type));
-  return region.lo_exclusive ? index.sorted.upper_bound(*region.lo)
-                             : index.sorted.lower_bound(*region.lo);
-}
-
-IndexedStore::SortedIter IndexedStore::region_last(
-    const FieldIndex& index, const SortedRegion& region,
-    SortedIter first) const {
-  if (region.hi) {
-    return region.hi_exclusive ? index.sorted.lower_bound(*region.hi)
-                               : index.sorted.upper_bound(*region.hi);
-  }
-  SortedIter it = first;
-  while (it != index.sorted.end() && region_contains_key(region, it->first)) {
-    ++it;
-  }
-  return it;
 }
 
 template <typename Emit>
@@ -134,12 +112,8 @@ void IndexedStore::visit_paths(const SearchCriterion& sc, Emit&& emit) const {
       continue;
     }
     if (!region.usable) continue;
-    for (SortedIter it = region_first(index, region);
-         it != index.sorted.end(); ++it) {
-      if (!region_contains_key(region, it->first)) break;
-      candidates += it->second.size();
-    }
-    emit(PlanStep{index.field, true, candidates});
+    // Two rank descents: the exact number of entries in the region.
+    emit(PlanStep{index.field, true, index.sorted.count(region)});
   }
 }
 
@@ -162,128 +136,112 @@ PlanAccess IndexedStore::choose_driver(const SearchCriterion& sc,
   return plan_access(arity_present, found ? &driver : nullptr);
 }
 
-std::optional<std::uint64_t> IndexedStore::oldest_match(
+IndexedStore::Slot IndexedStore::probe_age(const SearchCriterion& sc,
+                                           std::uint64_t age) const {
+  const Slot slot = by_age_.find(age);
+  if (slot == by_age_.end() || !probe(sc, slot->second)) return by_age_.end();
+  return slot;
+}
+
+IndexedStore::Slot IndexedStore::oldest_match(
     const SearchCriterion& sc) const {
-  if (sc.top_k && !sc.ranked_valid()) return std::nullopt;
+  if (sc.top_k && !sc.ranked_valid()) return by_age_.end();
   PlanStep driver;
   const PlanAccess access = choose_driver(sc, driver);
-  if (access == PlanAccess::kImpossible) return std::nullopt;
+  if (access == PlanAccess::kImpossible) return by_age_.end();
   if (access == PlanAccess::kScan) {
     if (sc.top_k) return ranked_walk_or_scan(sc);
-    for (const auto& [age, object] : by_age_) {
-      if (probe(sc, object)) return age;
+    for (Slot slot = by_age_.begin(); slot != by_age_.end(); ++slot) {
+      if (probe(sc, slot->second)) return slot;
     }
-    return std::nullopt;
+    return by_age_.end();
   }
   if (sc.top_k) return ranked_from_index(sc, driver);
   const FieldIndex& index = index_of(driver.field);
-  std::optional<std::uint64_t> best;
-  if (!driver.ordered) {
-    for_each_hash_key(sc.fields[index.field], [&](std::size_t key) {
-      auto it = index.buckets.find(key);
-      if (it == index.buckets.end()) return;
-      // Buckets are age-ascending: the first verified hit is the bucket's
-      // oldest match; take the minimum across buckets.
-      for (const std::uint64_t age : it->second) {
-        auto obj = by_age_.find(age);
-        if (obj == by_age_.end()) continue;
-        if (!probe(sc, obj->second)) continue;
-        if (!best || age < *best) best = age;
-        break;
-      }
-    });
-    return best;
+  if (driver.ordered) {
+    // Candidates surface oldest first, so the first verified one is the
+    // region's oldest match.
+    SortedIndex::OldestFirst order(
+        index.sorted, index.sorted.span(sorted_region(sc.fields[index.field])));
+    while (const SortedIndex::Entry* entry = order.next()) {
+      const Slot slot = probe_age(sc, entry->age);
+      if (slot != by_age_.end()) return slot;
+    }
+    return by_age_.end();
   }
-  // Sorted walk: same shape — each key's age list is ascending, so the
-  // first verified hit per key is that key's oldest; minimum across keys.
-  const SortedRegion region = sorted_region(sc.fields[index.field]);
-  for (SortedIter it = region_first(index, region);
-       it != index.sorted.end(); ++it) {
-    if (!region_contains_key(region, it->first)) break;
+  Slot best = by_age_.end();
+  for_each_hash_key(sc.fields[index.field], [&](std::size_t key) {
+    auto it = index.buckets.find(key);
+    if (it == index.buckets.end()) return;
+    // Buckets are age-ascending: the first verified hit is the bucket's
+    // oldest match; take the minimum across buckets.
     for (const std::uint64_t age : it->second) {
-      auto obj = by_age_.find(age);
-      if (obj == by_age_.end()) continue;
-      if (!probe(sc, obj->second)) continue;
-      if (!best || age < *best) best = age;
+      const Slot slot = probe_age(sc, age);
+      if (slot == by_age_.end()) continue;
+      if (best == by_age_.end() || age < best->first) best = slot;
       break;
     }
-  }
+  });
   return best;
 }
 
-std::optional<std::uint64_t> IndexedStore::ranked_from_index(
+IndexedStore::Slot IndexedStore::ranked_from_index(
     const SearchCriterion& sc, const PlanStep& driver) const {
   const TopK& top_k = *sc.top_k;
   const FieldIndex& index = index_of(driver.field);
-  if (driver.ordered && driver.field == top_k.field) {
-    const SortedRegion region = sorted_region(sc.fields[index.field]);
-    if (region.usable && score_monotone_for(top_k.score_fn, region.type)) {
-      return ranked_region_walk(sc, index, region);
-    }
+  const SortedRegion region = driver.ordered
+                                  ? sorted_region(sc.fields[index.field])
+                                  : SortedRegion{};
+  if (driver.ordered && driver.field == top_k.field &&
+      score_monotone_for(top_k.score_fn, region.type)) {
+    return ranked_region_walk(sc, index, region);
   }
-  // General ranked path: enumerate the driver's candidates in age order,
-  // probe each, rank the matches.
-  std::vector<std::uint64_t> ages;
+  // General ranked path: probe each of the driver's candidates and rank the
+  // matches. ranked_pick orders ties by age itself, so candidates may
+  // arrive in any order.
+  std::vector<Scored> scored;
+  const auto score = [&](std::uint64_t age) {
+    const Slot slot = probe_age(sc, age);
+    if (slot == by_age_.end()) return;
+    scored.push_back(
+        {score_value(slot->second.fields[top_k.field], top_k.score_fn), slot});
+  };
   if (!driver.ordered) {
     for_each_hash_key(sc.fields[index.field], [&](std::size_t key) {
       auto it = index.buckets.find(key);
       if (it == index.buckets.end()) return;
-      ages.insert(ages.end(), it->second.begin(), it->second.end());
+      for (const std::uint64_t age : it->second) score(age);
     });
   } else {
-    const SortedRegion region = sorted_region(sc.fields[index.field]);
-    for (SortedIter it = region_first(index, region);
-         it != index.sorted.end(); ++it) {
-      if (!region_contains_key(region, it->first)) break;
-      ages.insert(ages.end(), it->second.begin(), it->second.end());
-    }
-  }
-  std::sort(ages.begin(), ages.end());
-  std::vector<ScoredAge> scored;
-  for (const std::uint64_t age : ages) {
-    auto obj = by_age_.find(age);
-    if (obj == by_age_.end()) continue;
-    if (!probe(sc, obj->second)) continue;
-    scored.push_back(
-        {score_value(obj->second.fields[top_k.field], top_k.score_fn), age});
+    index.sorted.ascending(index.sorted.span(region),
+                           [&](const SortedIndex::Entry& entry) {
+                             score(entry.age);
+                             return false;
+                           });
   }
   return ranked_pick(std::move(scored), top_k);
 }
 
-std::optional<std::uint64_t> IndexedStore::ranked_region_walk(
+IndexedStore::Slot IndexedStore::ranked_region_walk(
     const SearchCriterion& sc, const FieldIndex& index,
     const SortedRegion& region) const {
   // Rank-ordered walk: key order == score order (strictly monotone hook),
-  // and each key's age list is ascending — exactly the tie order. Stop at
-  // the k-th verified match.
+  // and ages ascend within each key in both directions — exactly the tie
+  // order. Stop at the k-th verified match.
   const TopK& top_k = *sc.top_k;
-  const SortedIter first = region_first(index, region);
-  const SortedIter last = region_last(index, region, first);
   std::uint32_t seen = 0;
-  if (!top_k.descending) {
-    for (SortedIter it = first; it != last; ++it) {
-      for (const std::uint64_t age : it->second) {
-        auto obj = by_age_.find(age);
-        if (obj == by_age_.end()) continue;
-        if (!probe(sc, obj->second)) continue;
-        if (++seen == top_k.k) return age;
-      }
-    }
-    return std::nullopt;
-  }
-  for (auto it = std::make_reverse_iterator(last);
-       it != std::make_reverse_iterator(first); ++it) {
-    for (const std::uint64_t age : it->second) {
-      auto obj = by_age_.find(age);
-      if (obj == by_age_.end()) continue;
-      if (!probe(sc, obj->second)) continue;
-      if (++seen == top_k.k) return age;
-    }
-  }
-  return std::nullopt;
+  Slot found = by_age_.end();
+  const auto visit = [&](const SortedIndex::Entry& entry) {
+    found = probe_age(sc, entry.age);
+    return found != by_age_.end() && ++seen == top_k.k;
+  };
+  const SortedIndex::Span span = index.sorted.span(region);
+  const bool hit = top_k.descending ? index.sorted.descending(span, visit)
+                                    : index.sorted.ascending(span, visit);
+  return hit ? found : by_age_.end();
 }
 
-std::optional<std::uint64_t> IndexedStore::ranked_walk_or_scan(
+IndexedStore::Slot IndexedStore::ranked_walk_or_scan(
     const SearchCriterion& sc) const {
   const TopK& top_k = *sc.top_k;
   // Leaderboard case: no pattern narrows the criterion, but the rank field
@@ -294,11 +252,11 @@ std::optional<std::uint64_t> IndexedStore::ranked_walk_or_scan(
     for (const FieldIndex& index : indexes_) {
       if (index.field != top_k.field) continue;
       SortedRegion region = sorted_region(sc.fields[index.field]);
-      if (region.empty) return std::nullopt;
+      if (region.empty) return by_age_.end();
       if (!region.usable) {
-        if (index.sorted.empty()) return std::nullopt;
-        const FieldType front = type_of(index.sorted.begin()->first);
-        if (type_of(index.sorted.rbegin()->first) != front) break;
+        if (index.sorted.empty()) return by_age_.end();
+        const FieldType front = type_of(index.sorted.front().value);
+        if (type_of(index.sorted.back().value) != front) break;
         region.usable = true;
         region.type = front;
       }
@@ -310,16 +268,17 @@ std::optional<std::uint64_t> IndexedStore::ranked_walk_or_scan(
 }
 
 std::optional<PasoObject> IndexedStore::find(const SearchCriterion& sc) const {
-  const auto age = oldest_match(sc);
-  if (!age) return std::nullopt;
-  return by_age_.at(*age);
+  const Slot slot = oldest_match(sc);
+  if (slot == by_age_.end()) return std::nullopt;
+  return slot->second;
 }
 
 std::optional<PasoObject> IndexedStore::remove(const SearchCriterion& sc) {
-  const auto age = oldest_match(sc);
-  if (!age) return std::nullopt;
-  PasoObject object = base_erase(*age);
-  drop_from_indexes(object, *age);
+  const Slot slot = oldest_match(sc);
+  if (slot == by_age_.end()) return std::nullopt;
+  const std::uint64_t age = slot->first;
+  PasoObject object = base_erase(slot);
+  drop_from_indexes(object, age);
   return object;
 }
 
@@ -338,16 +297,13 @@ void IndexedStore::drop_from_indexes(const PasoObject& object,
     const Value& value = object.fields[index.field];
     auto it = index.buckets.find(value_hash(value));
     if (it != index.buckets.end()) {
-      std::erase(it->second, age);
-      if (it->second.empty()) index.buckets.erase(it);
+      // Age-ascending bucket: one binary search finds the age.
+      std::vector<std::uint64_t>& ages = it->second;
+      const auto at = std::lower_bound(ages.begin(), ages.end(), age);
+      if (at != ages.end() && *at == age) ages.erase(at);
+      if (ages.empty()) index.buckets.erase(it);
     }
-    if (options_.ordered) {
-      auto sorted_it = index.sorted.find(value);
-      if (sorted_it != index.sorted.end()) {
-        std::erase(sorted_it->second, age);
-        if (sorted_it->second.empty()) index.sorted.erase(sorted_it);
-      }
-    }
+    if (options_.ordered) index.sorted.erase(value, age);
     if (index.entries > 0) --index.entries;
   }
 }

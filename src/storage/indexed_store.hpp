@@ -6,11 +6,14 @@
 // IndexedStore takes that to its useful extreme. Each indexed field keeps a
 // hash index (value hash -> age list, kept in age order) serving Exact and
 // OneOf patterns; in ordered mode each field additionally keeps a sorted
-// index (value -> age list) serving Range, IntRange/RealRange, TextPrefix
-// and rank-ordered TopK walks. Query planning — which index drives a
-// compound criterion — is delegated to plan(): paths are ordered by
-// estimated selectivity from the per-index cardinality stats, with an
-// arity-completeness early-out. Criteria touching no indexed field still
+// twin — a SortedIndex, the counted, min-age B+-tree of (value, age)
+// entries — serving Range, IntRange/RealRange, TextPrefix and rank-ordered
+// TopK walks. A sorted region's candidate count is two rank descents and
+// its oldest match the first verified entry of an oldest-first
+// enumeration, both O(log l) in the store size l. Query planning — which
+// index drives a compound criterion — is delegated to plan(): paths are
+// ordered by estimated selectivity (bucket sizes and region counts), with
+// an arity-completeness early-out. Criteria touching no indexed field still
 // fall back to the age scan, so every criterion LinearStore answers is
 // answered identically here (the differential-oracle test pins this).
 //
@@ -21,10 +24,10 @@
 //     queries: Q = 1 + floor(log2(l+1)), I = D = 2.
 #pragma once
 
-#include <map>
 #include <unordered_map>
 #include <vector>
 
+#include "storage/sorted_index.hpp"
 #include "storage/store_base.hpp"
 
 namespace paso::storage {
@@ -38,7 +41,8 @@ class IndexedStore final : public StoreBase {
   };
 
   /// Per-index cardinality statistics, maintained on insert/remove; the
-  /// planner's selectivity estimates derive from the underlying buckets.
+  /// planner's selectivity estimates derive from the underlying buckets
+  /// and sorted twins.
   struct IndexStats {
     std::size_t field = 0;
     std::size_t entries = 0;   // ages indexed under this field
@@ -86,13 +90,10 @@ class IndexedStore final : public StoreBase {
     // (ages only ever grow and load() replays in age order, so push_back
     // preserves the invariant).
     std::unordered_map<std::size_t, std::vector<std::uint64_t>> buckets;
-    // Ordered mode: value -> ages, same age-ascending invariant per key.
-    std::map<Value, std::vector<std::uint64_t>> sorted;
+    // Ordered mode: (value, age) entries in a counted, min-age B+-tree.
+    SortedIndex sorted;
     std::size_t entries = 0;
   };
-
-  using SortedIter =
-      std::map<Value, std::vector<std::uint64_t>>::const_iterator;
 
   void index_cleared() override;
   /// Emits one PlanStep per index that can serve `sc`, in field order.
@@ -101,26 +102,24 @@ class IndexedStore final : public StoreBase {
   /// plan(sc)'s access, with its front step written to `driver` when the
   /// access is kIndex.
   PlanAccess choose_driver(const SearchCriterion& sc, PlanStep& driver) const;
-  std::optional<std::uint64_t> oldest_match(const SearchCriterion& sc) const;
+  /// The object a read answers with, or by_age_.end(): the candidate lookup
+  /// that verified the match is the only lookup the read makes.
+  Slot oldest_match(const SearchCriterion& sc) const;
   /// Ranked read driven by an index path (hash bucket enumeration or a
   /// rank-ordered sorted walk when the driver is the rank field).
-  std::optional<std::uint64_t> ranked_from_index(const SearchCriterion& sc,
-                                                 const PlanStep& driver) const;
+  Slot ranked_from_index(const SearchCriterion& sc,
+                         const PlanStep& driver) const;
   /// Directional walk of `index`'s sorted twin over `region` (usable, with
   /// an order-preserving hook): candidates arrive in rank order, so the
   /// k-th verified match answers the read.
-  std::optional<std::uint64_t> ranked_region_walk(
-      const SearchCriterion& sc, const FieldIndex& index,
-      const SortedRegion& region) const;
+  Slot ranked_region_walk(const SearchCriterion& sc, const FieldIndex& index,
+                          const SortedRegion& region) const;
   /// Ranked read with no driving path: a rank-ordered walk of the rank
   /// field's sorted twin when order-compatible, else the spec scan.
-  std::optional<std::uint64_t> ranked_walk_or_scan(
-      const SearchCriterion& sc) const;
+  Slot ranked_walk_or_scan(const SearchCriterion& sc) const;
+  /// by_age_'s slot for `age` when it exists and `sc` matches it.
+  Slot probe_age(const SearchCriterion& sc, std::uint64_t age) const;
   const FieldIndex& index_of(std::size_t field) const;
-  SortedIter region_first(const FieldIndex& index,
-                          const SortedRegion& region) const;
-  SortedIter region_last(const FieldIndex& index, const SortedRegion& region,
-                         SortedIter first) const;
   void drop_from_indexes(const PasoObject& object, std::uint64_t age);
 
   std::vector<FieldIndex> indexes_;

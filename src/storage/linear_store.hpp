@@ -22,9 +22,9 @@ class LinearStore final : public StoreBase {
   std::optional<PasoObject> remove(const SearchCriterion& sc) override {
     if (sc.top_k) {
       if (!sc.ranked_valid()) return std::nullopt;
-      const auto age = ranked_scan(sc);
-      if (!age) return std::nullopt;
-      return base_erase(*age);
+      const Slot slot = ranked_scan(sc);
+      if (slot == by_age_.end()) return std::nullopt;
+      return base_erase(slot);
     }
     for (const auto& [age, object] : by_age_) {
       if (probe(sc, object)) return base_erase(age);
@@ -54,9 +54,9 @@ class LinearStore final : public StoreBase {
   std::optional<PasoObject> oldest_or_ranked(const SearchCriterion& sc) const {
     if (sc.top_k) {
       if (!sc.ranked_valid()) return std::nullopt;
-      const auto age = ranked_scan(sc);
-      if (!age) return std::nullopt;
-      return by_age_.at(*age);
+      const Slot slot = ranked_scan(sc);
+      if (slot == by_age_.end()) return std::nullopt;
+      return slot->second;
     }
     for (const auto& [age, object] : by_age_) {
       if (probe(sc, object)) return object;

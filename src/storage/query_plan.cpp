@@ -120,18 +120,4 @@ bool region_contains_key(const SortedRegion& region, const Value& key) {
   return true;
 }
 
-std::optional<std::uint64_t> ranked_pick(std::vector<ScoredAge> scored,
-                                         const TopK& top_k) {
-  if (top_k.k == 0 || scored.size() < top_k.k) return std::nullopt;
-  const bool descending = top_k.descending;
-  std::sort(scored.begin(), scored.end(),
-            [descending](const ScoredAge& a, const ScoredAge& b) {
-              if (a.score != b.score) {
-                return descending ? a.score > b.score : a.score < b.score;
-              }
-              return a.age < b.age;
-            });
-  return scored[top_k.k - 1].age;
-}
-
 }  // namespace paso::storage

@@ -90,16 +90,4 @@ Value type_min(FieldType type);
 /// region's low end.
 bool region_contains_key(const SortedRegion& region, const Value& key);
 
-/// A match found during ranked evaluation.
-struct ScoredAge {
-  double score = 0;
-  std::uint64_t age = 0;
-};
-
-/// The executable ranked-selection spec: orders matches by score (descending
-/// or ascending per the selector), ties oldest-first, and returns the age of
-/// the k-th (1-based) — nullopt when fewer than k matches exist.
-std::optional<std::uint64_t> ranked_pick(std::vector<ScoredAge> scored,
-                                         const TopK& top_k);
-
 }  // namespace paso::storage

@@ -3,6 +3,7 @@
 // query index and model cost functions.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
 
@@ -66,18 +67,25 @@ class StoreBase : public ObjectStore {
     return &it->second;
   }
 
+  /// A stored object's position in the age order.
+  using Slot = std::map<std::uint64_t, PasoObject>::const_iterator;
+
   /// Remove by age; derived classes fix their index first.
   PasoObject base_erase(std::uint64_t age) {
     auto it = by_age_.find(age);
     PASO_REQUIRE(it != by_age_.end(), "erasing unknown age");
-    PasoObject object = std::move(it->second);
+    return base_erase(it);
+  }
+
+  /// Remove the object at `slot`, a position a read already found.
+  PasoObject base_erase(Slot slot) {
+    PasoObject object = std::move(by_age_.extract(slot).mapped());
     content_bytes_ -= object.wire_size();
     auto arity_it = arity_count_.find(object.fields.size());
     if (arity_it != arity_count_.end() && --arity_it->second == 0) {
       arity_count_.erase(arity_it);
     }
     age_of_.erase(object.id);
-    by_age_.erase(it);
     return object;
   }
 
@@ -97,17 +105,40 @@ class StoreBase : public ObjectStore {
     return sc.matches(object);
   }
 
+  /// A match found during ranked evaluation.
+  struct Scored {
+    double score = 0;
+    Slot slot;
+  };
+
+  /// The executable ranked-selection spec: orders matches by score
+  /// (descending or ascending per the selector), ties oldest-first, and
+  /// returns the k-th (1-based) — by_age_.end() when fewer than k exist.
+  Slot ranked_pick(std::vector<Scored> scored, const TopK& top_k) const {
+    if (top_k.k == 0 || scored.size() < top_k.k) return by_age_.end();
+    const bool descending = top_k.descending;
+    std::sort(scored.begin(), scored.end(),
+              [descending](const Scored& a, const Scored& b) {
+                if (a.score != b.score) {
+                  return descending ? a.score > b.score : a.score < b.score;
+                }
+                return a.slot->first < b.slot->first;
+              });
+    return scored[top_k.k - 1].slot;
+  }
+
   /// Ranked-read fallback shared by every store: probe the full age order,
   /// score the matches, pick the k-th (the executable TopK spec — LinearStore
   /// answers ranked reads exactly this way). Callers guarantee
   /// sc.ranked_valid().
-  std::optional<std::uint64_t> ranked_scan(const SearchCriterion& sc) const {
-    std::vector<ScoredAge> scored;
-    for (const auto& [age, object] : by_age_) {
-      if (!probe(sc, object)) continue;
+  Slot ranked_scan(const SearchCriterion& sc) const {
+    std::vector<Scored> scored;
+    for (Slot slot = by_age_.begin(); slot != by_age_.end(); ++slot) {
+      if (!probe(sc, slot->second)) continue;
       scored.push_back(
-          {score_value(object.fields[sc.top_k->field], sc.top_k->score_fn),
-           age});
+          {score_value(slot->second.fields[sc.top_k->field],
+                       sc.top_k->score_fn),
+           slot});
     }
     return ranked_pick(std::move(scored), *sc.top_k);
   }

@@ -338,13 +338,14 @@ TEST(QueryPlanTest, RangeWalkProbesOnlyTheRegion) {
     store.store(make_object(i, static_cast<std::int64_t>(i)), i);
   }
   const std::uint64_t before = store.match_probes();
-  // (10, 14]: exactly keys 11..14 are in region — 4 probes, not 100.
+  // (10, 14]: keys 11..14 are in region and candidates surface oldest
+  // first, so the first one verified — key 11 — answers: 1 probe, not 100.
   const auto found = store.find(criterion(
       range_between(Value{10ll}, Value{14ll}, /*lo_exclusive=*/true),
       AnyField{}));
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(std::get<std::int64_t>(found->fields[0]), 11);
-  EXPECT_EQ(store.match_probes() - before, 4u);
+  EXPECT_EQ(store.match_probes() - before, 1u);
 }
 
 TEST(QueryPlanTest, PrefixWalkProbesOnlyThePrefixRegion) {
@@ -354,11 +355,47 @@ TEST(QueryPlanTest, PrefixWalkProbesOnlyThePrefixRegion) {
   store.store(make_object(2, 0, "banana"), 2);
   store.store(make_object(3, 0, "cherry"), 3);
   const std::uint64_t before = store.match_probes();
+  // "apple" is the oldest of the two 'ap' candidates and verifies first.
   const auto found = store.find(criterion(AnyField{}, TextPrefix{"ap"}));
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->id.sequence, 0u);
-  EXPECT_EQ(store.match_probes() - before, 2u)
-      << "prefix walk left the 'ap' region";
+  EXPECT_EQ(store.match_probes() - before, 1u)
+      << "prefix read probed past the oldest 'ap' candidate";
+}
+
+TEST(QueryPlanTest, RegionProbesCandidatesOldestFirst) {
+  // Ages and keys disagree (key = 37 * age mod 200), so the region's
+  // oldest candidates are scattered across its keys. The j oldest objects
+  // in the region fail the field-1 pattern; every other object passes it,
+  // which keeps field 1's hash path less selective than the range.
+  constexpr std::int64_t kLo = 50;
+  constexpr std::int64_t kHi = 119;
+  constexpr int kFailing = 5;
+  IndexedStore store({0, 1}, IndexedStore::Options{true});
+  LinearStore spec;
+  int failing = 0;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const std::int64_t key = static_cast<std::int64_t>(i * 37 % 200);
+    const bool in_region = key >= kLo && key <= kHi;
+    const bool fails = in_region && failing < kFailing;
+    if (fails) ++failing;
+    const PasoObject object = make_object(i, key, fails ? "n" : "y");
+    store.store(object, i);
+    spec.store(object, i);
+  }
+  const SearchCriterion sc = criterion(
+      range_between(Value{kLo}, Value{kHi}), Exact{Value{std::string{"y"}}});
+  ASSERT_EQ(store.plan(sc).steps.front().field, 0u) << "range must drive";
+  const std::uint64_t before = store.match_probes();
+  const auto found = store.find(sc);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found, spec.find(sc));
+  EXPECT_EQ(store.match_probes() - before, kFailing + 1u);
+  EXPECT_EQ(store.remove(sc), spec.remove(sc));
+  const auto stats = store.index_stats();
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats[0].entries, stats[1].entries);
+  EXPECT_EQ(stats[0].entries, store.size());
 }
 
 TEST(IndexedStoreTest, OrderedModeCostsDoubleThePlainModel) {
