@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,8 +46,8 @@ class ByteWriter {
 
 class ByteReader {
  public:
-  explicit ByteReader(const std::vector<std::uint8_t>& bytes)
-      : bytes_(bytes) {}
+  /// Reads `bytes` where they lie; the buffer must outlive the reader.
+  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   std::uint8_t u8() {
     need(1);
@@ -93,7 +94,7 @@ class ByteReader {
     pos_ += n;
   }
 
-  const std::vector<std::uint8_t>& bytes_;
+  std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
 };
 

@@ -69,8 +69,9 @@ void MemoryServer::persist_span(const char* what, double value) {
   }
 }
 
-void MemoryServer::note_op(ClassId cls, ClassState& state,
-                           const ServerMessage& op, Cost& processing) {
+template <typename Message>
+void MemoryServer::note_op(ClassId cls, ClassState& state, const Message& op,
+                           Cost& processing) {
   ++state.lsn;
   // Replays re-read existing records; live ops and delta installs append
   // (a joiner's disk must catch up with the suffix it is being shipped).
@@ -98,10 +99,13 @@ persist::CheckpointImage MemoryServer::checkpoint_image(
   image.lsn = state.lsn;
   image.next_age = state.next_age;
   image.objects = state.store->snapshot();
-  image.applied_inserts.assign(state.applied_inserts.begin(),
-                               state.applied_inserts.end());
-  // The unordered set iterates in an implementation-defined order; sort so
-  // the encoded image is byte-identical across replicas with equal state.
+  image.applied_inserts.reserve(state.applied_inserts.size());
+  state.applied_inserts.for_each([&image](const ObjectId& id, FlatUnit) {
+    image.applied_inserts.push_back(id);
+  });
+  // The flat table iterates in slot order, which depends on its history;
+  // sort so the encoded image is byte-identical across replicas with equal
+  // state.
   std::sort(image.applied_inserts.begin(), image.applied_inserts.end());
   image.remove_cache.reserve(state.remove_cache_order.size());
   for (const std::uint64_t token : state.remove_cache_order) {
@@ -209,14 +213,13 @@ void MemoryServer::apply_store(ClassId cls, ClassState& state,
   // Even a refused duplicate consumes an lsn: the lsn is a deterministic
   // function of the delivered prefix, duplicates included, so replaying the
   // log reproduces the exact same numbering.
-  note_op(cls, state, ServerMessage{msg}, processing);
-  if (state.applied_inserts.contains(msg.object.id)) {
+  note_op(cls, state, msg, processing);
+  if (!state.applied_inserts.emplace(msg.object.id).second) {
     // Duplicate delivery of a store already applied (and possibly since
     // removed): refuse silently so retransmission cannot violate A2.
     ++duplicates_refused_;
     return;
   }
-  state.applied_inserts.insert(msg.object.id);
   processing += state.store->insert_cost();
   state.store->store(msg.object, state.next_age++);
   fire_markers(state, msg.object);
@@ -235,7 +238,7 @@ SearchResponse MemoryServer::apply_read(ClassState& state,
 SearchResponse MemoryServer::apply_remove(ClassId cls, ClassState& state,
                                           const RemoveMsg& msg,
                                           Cost& processing) {
-  note_op(cls, state, ServerMessage{msg}, processing);
+  note_op(cls, state, msg, processing);
   if (msg.token != 0) {
     auto cached = state.remove_cache.find(msg.token);
     if (cached != state.remove_cache.end()) {
@@ -619,8 +622,10 @@ Cost MemoryServer::recover_from_disk() {
       state.next_age = ckpt.next_age;
       state.lsn = ckpt.lsn;
       state.applied_inserts.clear();
-      state.applied_inserts.insert(ckpt.applied_inserts.begin(),
-                                   ckpt.applied_inserts.end());
+      state.applied_inserts.reserve(ckpt.applied_inserts.size());
+      for (const ObjectId& id : ckpt.applied_inserts) {
+        state.applied_inserts.emplace(id);
+      }
       state.remove_cache.clear();
       state.remove_cache_order.clear();
       for (const auto& [token, response] : ckpt.remove_cache) {

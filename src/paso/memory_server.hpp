@@ -19,9 +19,9 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_table.hpp"
 #include "net/transport.hpp"
 #include "sim/simulator.hpp"  // sim::SimTime alias (marker TTL bookkeeping)
 #include "obs/obs.hpp"
@@ -170,19 +170,24 @@ class MemoryServer final : public vsync::GroupEndpoint {
     /// Every identity ever stored here — including since-removed ones — so a
     /// retransmitted store(o) neither duplicates a live object nor
     /// resurrects a removed one (A2: at-most-one insert per identity).
-    std::unordered_set<ObjectId> applied_inserts;
+    /// A flat table: copying it into a state-transfer blob copies two
+    /// arrays. Its iteration order is not replica-consistent; checkpoints
+    /// sort the identities they store.
+    FlatTable<ObjectId> applied_inserts;
     /// Remove decisions by operation token, in insertion order for eviction.
     std::unordered_map<std::uint64_t, SearchResponse> remove_cache;
     std::deque<std::uint64_t> remove_cache_order;
   };
   /// What travels in a state-transfer blob. The dedup state rides along:
-  /// a joiner must refuse the same duplicates its donor would.
+  /// a joiner must refuse the same duplicates its donor would. The objects
+  /// are shared with the donor's store, and the joiner's store shares them
+  /// in turn: a transfer copies no tuple.
   struct ClassSnapshot {
     std::vector<storage::StoredObject> objects;
     std::uint64_t next_age = 0;
     std::uint64_t lsn = 0;
     std::vector<Marker> markers;
-    std::unordered_set<ObjectId> applied_inserts;
+    FlatTable<ObjectId> applied_inserts;
     std::unordered_map<std::uint64_t, SearchResponse> remove_cache;
     std::deque<std::uint64_t> remove_cache_order;
   };
@@ -215,8 +220,11 @@ class MemoryServer final : public vsync::GroupEndpoint {
   /// Advance the class lsn for one applied mutation and, when persistence
   /// is on, append it to the WAL + run the checkpoint policy. Called for
   /// every store / remove / marker op in every mode (replay included — the
-  /// lsn must track the stream), before the op mutates state.
-  void note_op(ClassId cls, ClassState& state, const ServerMessage& op,
+  /// lsn must track the stream), before the op mutates state. `op` is the
+  /// delivered message (a ServerMessage, or a StoreMsg / RemoveMsg lone or
+  /// inside a batch), encoded where it lies.
+  template <typename Message>
+  void note_op(ClassId cls, ClassState& state, const Message& op,
                Cost& processing);
   /// Apply one WAL-recorded operation during replay or delta install.
   void apply_replayed(ClassId cls, ClassState& state, const ServerMessage& op,

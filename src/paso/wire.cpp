@@ -261,65 +261,84 @@ SearchCriterion decode_criterion(ByteReader& r) {
   return sc;
 }
 
+namespace {
+
+void encode_body(ByteWriter& w, const StoreMsg& m) {
+  // The 4-byte class-id header doubles as the message tag: its top nibble
+  // carries the kind, leaving 2^28 classes.
+  w.u32((static_cast<std::uint32_t>(MessageTag::kStore) << 28) | m.cls.value);
+  encode_object(w, m.object);
+}
+
+void encode_body(ByteWriter& w, const MemReadMsg& m) {
+  w.u32((static_cast<std::uint32_t>(MessageTag::kMemRead) << 28) |
+        m.cls.value);
+  encode_criterion(w, m.criterion);
+}
+
+void encode_body(ByteWriter& w, const RemoveMsg& m) {
+  w.u32((static_cast<std::uint32_t>(MessageTag::kRemove) << 28) | m.cls.value);
+  w.u64(m.token);
+  encode_criterion(w, m.criterion);
+}
+
+void encode_body(ByteWriter& w, const PlaceMarkerMsg& m) {
+  w.u32((static_cast<std::uint32_t>(MessageTag::kPlaceMarker) << 28) |
+        m.cls.value);
+  w.u64(m.marker_id);
+  w.u32(m.owner.value);
+  w.f64(m.expires_at);
+  encode_criterion(w, m.criterion);
+}
+
+void encode_body(ByteWriter& w, const CancelMarkerMsg& m) {
+  w.u32((static_cast<std::uint32_t>(MessageTag::kCancelMarker) << 28) |
+        m.cls.value);
+  w.u64(m.marker_id);
+  w.u32(m.owner.value);
+}
+
+void encode_body(ByteWriter& w, const BatchMsg& m) {
+  w.u32((static_cast<std::uint32_t>(MessageTag::kBatch) << 28) | m.cls.value);
+  w.u32(static_cast<std::uint32_t>(m.ops.size()));
+  for (const BatchableOp& op : m.ops) {
+    std::visit(
+        [&w](const auto& sub) {
+          using S = std::decay_t<decltype(sub)>;
+          if constexpr (std::is_same_v<S, StoreMsg>) {
+            w.u8(static_cast<std::uint8_t>(BatchOpTag::kStore));
+            encode_object(w, sub.object);
+          } else if constexpr (std::is_same_v<S, MemReadMsg>) {
+            w.u8(static_cast<std::uint8_t>(BatchOpTag::kMemRead));
+            encode_criterion(w, sub.criterion);
+          } else {
+            static_assert(std::is_same_v<S, RemoveMsg>);
+            w.u8(static_cast<std::uint8_t>(BatchOpTag::kRemove));
+            w.u64(sub.token);
+            encode_criterion(w, sub.criterion);
+          }
+        },
+        op);
+  }
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_message(const ServerMessage& message) {
   ByteWriter w;
-  std::visit(
-      [&w](const auto& m) {
-        using M = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<M, StoreMsg>) {
-          // The 4-byte class-id header doubles as the message tag: its top
-          // nibble carries the kind, leaving 2^28 classes.
-          w.u32((static_cast<std::uint32_t>(MessageTag::kStore) << 28) |
-                m.cls.value);
-          encode_object(w, m.object);
-        } else if constexpr (std::is_same_v<M, MemReadMsg>) {
-          w.u32((static_cast<std::uint32_t>(MessageTag::kMemRead) << 28) |
-                m.cls.value);
-          encode_criterion(w, m.criterion);
-        } else if constexpr (std::is_same_v<M, RemoveMsg>) {
-          w.u32((static_cast<std::uint32_t>(MessageTag::kRemove) << 28) |
-                m.cls.value);
-          w.u64(m.token);
-          encode_criterion(w, m.criterion);
-        } else if constexpr (std::is_same_v<M, PlaceMarkerMsg>) {
-          w.u32((static_cast<std::uint32_t>(MessageTag::kPlaceMarker) << 28) |
-                m.cls.value);
-          w.u64(m.marker_id);
-          w.u32(m.owner.value);
-          w.f64(m.expires_at);
-          encode_criterion(w, m.criterion);
-        } else if constexpr (std::is_same_v<M, CancelMarkerMsg>) {
-          w.u32((static_cast<std::uint32_t>(MessageTag::kCancelMarker) << 28) |
-                m.cls.value);
-          w.u64(m.marker_id);
-          w.u32(m.owner.value);
-        } else {
-          static_assert(std::is_same_v<M, BatchMsg>);
-          w.u32((static_cast<std::uint32_t>(MessageTag::kBatch) << 28) |
-                m.cls.value);
-          w.u32(static_cast<std::uint32_t>(m.ops.size()));
-          for (const BatchableOp& op : m.ops) {
-            std::visit(
-                [&w](const auto& sub) {
-                  using S = std::decay_t<decltype(sub)>;
-                  if constexpr (std::is_same_v<S, StoreMsg>) {
-                    w.u8(static_cast<std::uint8_t>(BatchOpTag::kStore));
-                    encode_object(w, sub.object);
-                  } else if constexpr (std::is_same_v<S, MemReadMsg>) {
-                    w.u8(static_cast<std::uint8_t>(BatchOpTag::kMemRead));
-                    encode_criterion(w, sub.criterion);
-                  } else {
-                    static_assert(std::is_same_v<S, RemoveMsg>);
-                    w.u8(static_cast<std::uint8_t>(BatchOpTag::kRemove));
-                    w.u64(sub.token);
-                    encode_criterion(w, sub.criterion);
-                  }
-                },
-                op);
-          }
-        }
-      },
-      message);
+  std::visit([&w](const auto& m) { encode_body(w, m); }, message);
+  return w.take();
+}
+
+std::vector<std::uint8_t> encode_message(const StoreMsg& message) {
+  ByteWriter w;
+  encode_body(w, message);
+  return w.take();
+}
+
+std::vector<std::uint8_t> encode_message(const RemoveMsg& message) {
+  ByteWriter w;
+  encode_body(w, message);
   return w.take();
 }
 

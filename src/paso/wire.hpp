@@ -41,6 +41,11 @@ SearchCriterion decode_criterion(ByteReader& r);
 /// body). Objects in messages are decoded with the signature supplied by
 /// the receiver's schema lookup.
 std::vector<std::uint8_t> encode_message(const ServerMessage& message);
+/// The same bytes as encode_message(ServerMessage{message}), encoded from
+/// the message where it lies (a delivered op, lone or inside a batch)
+/// without first copying it into a ServerMessage.
+std::vector<std::uint8_t> encode_message(const StoreMsg& message);
+std::vector<std::uint8_t> encode_message(const RemoveMsg& message);
 
 /// Signature resolver: class id -> field types (from the schema).
 using SignatureResolver =

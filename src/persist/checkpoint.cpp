@@ -1,5 +1,8 @@
 #include "persist/checkpoint.hpp"
 
+#include <memory>
+#include <span>
+
 #include "common/bytes.hpp"
 #include "common/require.hpp"
 #include "paso/wire.hpp"
@@ -33,7 +36,7 @@ std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image) {
   w.u32(static_cast<std::uint32_t>(image.objects.size()));
   for (const storage::StoredObject& stored : image.objects) {
     w.u64(stored.age);
-    wire::encode_object(w, stored.object);
+    wire::encode_object(w, *stored.object);
   }
   w.u32(static_cast<std::uint32_t>(image.applied_inserts.size()));
   for (const ObjectId& id : image.applied_inserts) encode_id(w, id);
@@ -45,28 +48,31 @@ std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image) {
   }
   std::vector<std::uint8_t> body = w.take();
   // Seal the image with the WAL checksum primitive (seeded by the lsn).
-  const std::uint32_t sum = wal_checksum(image.lsn, body);
-  ByteWriter tail;
-  tail.u32(sum);
-  const std::vector<std::uint8_t> sealed = tail.take();
-  body.insert(body.end(), sealed.begin(), sealed.end());
+  const std::uint32_t sum = wal_checksum(image.lsn, body.data(), body.size());
+  for (int i = 0; i < 4; ++i) {
+    body.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
+  }
   return body;
 }
 
 std::optional<CheckpointImage> decode_checkpoint(
     const std::vector<std::uint8_t>& bytes,
     const std::vector<FieldType>& signature) {
+  // The image is checked and decoded where it lies: the body is every byte
+  // before the 4-byte seal.
   if (bytes.size() < 4) return std::nullopt;
-  std::vector<std::uint8_t> body(bytes.begin(), bytes.end() - 4);
+  const std::span<const std::uint8_t> body(bytes.data(), bytes.size() - 4);
   std::uint32_t stored = 0;
   for (int i = 0; i < 4; ++i) {
-    stored |= std::uint32_t{bytes[bytes.size() - 4 + i]} << (8 * i);
+    stored |= std::uint32_t{bytes[body.size() + i]} << (8 * i);
   }
   // The checksum is seeded with the lsn, which sits at a fixed offset.
   if (body.size() < 24) return std::nullopt;
   std::uint64_t lsn = 0;
   for (int i = 0; i < 8; ++i) lsn |= std::uint64_t{body[8 + i]} << (8 * i);
-  if (stored != wal_checksum(lsn, body)) return std::nullopt;
+  if (stored != wal_checksum(lsn, body.data(), body.size())) {
+    return std::nullopt;
+  }
   try {
     ByteReader r(body);
     CheckpointImage image;
@@ -78,7 +84,8 @@ std::optional<CheckpointImage> decode_checkpoint(
     for (std::uint32_t i = 0; i < objects; ++i) {
       storage::StoredObject stored_obj;
       stored_obj.age = r.u64();
-      stored_obj.object = wire::decode_object(r, signature);
+      stored_obj.object = std::make_shared<const PasoObject>(
+          wire::decode_object(r, signature));
       image.objects.push_back(std::move(stored_obj));
     }
     const std::uint32_t inserts = r.u32();

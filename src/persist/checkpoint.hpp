@@ -27,7 +27,9 @@ struct CheckpointImage {
   std::uint64_t epoch = 0;  ///< checkpoint generation (monotonic per class)
   std::uint64_t lsn = 0;    ///< last operation the image covers
   std::uint64_t next_age = 0;
-  std::vector<storage::StoredObject> objects;  ///< in age order
+  /// In age order. A captured image shares the store's objects; encoding
+  /// it writes them out without copying them first.
+  std::vector<storage::StoredObject> objects;
   /// Idempotence tables, in deterministic (sorted / eviction) order.
   std::vector<ObjectId> applied_inserts;
   std::vector<std::pair<std::uint64_t, SearchResponse>> remove_cache;

@@ -24,13 +24,17 @@ Cost SimDisk::append(const std::string& file,
                      const std::vector<std::uint8_t>& bytes) {
   auto& contents = files_[file];
   contents.insert(contents.end(), bytes.begin(), bytes.end());
+  total_bytes_ += bytes.size();
   return charge_write(bytes.size());
 }
 
 Cost SimDisk::overwrite(const std::string& file,
                         std::vector<std::uint8_t> bytes) {
   const std::size_t n = bytes.size();
-  files_[file] = std::move(bytes);
+  std::vector<std::uint8_t>& contents = files_[file];
+  total_bytes_ += n;
+  total_bytes_ -= contents.size();
+  contents = std::move(bytes);
   return charge_write(n);
 }
 
@@ -47,11 +51,17 @@ Cost SimDisk::read(const std::string& file, std::vector<std::uint8_t>& out) {
 Cost SimDisk::truncate(const std::string& file, std::size_t size) {
   auto it = files_.find(file);
   if (it == files_.end() || it->second.size() <= size) return 0;
+  total_bytes_ -= it->second.size() - size;
   it->second.resize(size);
   return charge_write(0);  // a metadata write: seek, no payload
 }
 
-void SimDisk::remove(const std::string& file) { files_.erase(file); }
+void SimDisk::remove(const std::string& file) {
+  auto it = files_.find(file);
+  if (it == files_.end()) return;
+  total_bytes_ -= it->second.size();
+  files_.erase(it);
+}
 
 std::size_t SimDisk::size(const std::string& file) const {
   auto it = files_.find(file);
@@ -67,6 +77,7 @@ bool SimDisk::chop(const std::string& file, std::size_t n) {
   auto it = files_.find(file);
   if (it == files_.end() || it->second.empty() || n == 0) return false;
   const std::size_t drop = std::min(n, it->second.size());
+  total_bytes_ -= drop;
   it->second.resize(it->second.size() - drop);
   return true;
 }

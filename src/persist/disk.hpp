@@ -56,6 +56,9 @@ class SimDisk {
 
   bool exists(const std::string& file) const { return files_.contains(file); }
   std::size_t size(const std::string& file) const;
+  /// Sum of every file's size, kept current by each write, truncate,
+  /// remove and fault: O(1).
+  std::uint64_t total_bytes() const { return total_bytes_; }
 
   /// Uncharged access to a file's bytes (nullptr if absent). For the fault
   /// plane and tests only — real I/O paths go through read().
@@ -83,6 +86,7 @@ class SimDisk {
 
   DiskCostModel model_;
   std::unordered_map<std::string, std::vector<std::uint8_t>> files_;
+  std::uint64_t total_bytes_ = 0;
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   std::uint64_t bytes_read_ = 0;

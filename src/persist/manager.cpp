@@ -22,14 +22,12 @@ const char* persist_fault_name(PersistenceManager::FaultKind kind) {
 
 PersistenceManager::PersistenceManager(MachineId self, const Schema& schema,
                                        PersistenceConfig config)
-    : self_(self), schema_(schema), config_(config), disk_(config.disk) {}
-
-std::string PersistenceManager::log_file(ClassId cls) const {
-  return "c" + std::to_string(cls.value) + ".log";
-}
-
-std::string PersistenceManager::ckpt_file(ClassId cls) const {
-  return "c" + std::to_string(cls.value) + ".ckpt";
+    : self_(self), schema_(schema), config_(config), disk_(config.disk) {
+  files_.reserve(schema_.class_count());
+  for (std::uint32_t c = 0; c < schema_.class_count(); ++c) {
+    const std::string stem = "c" + std::to_string(c);
+    files_.push_back({stem + ".log", stem + ".ckpt"});
+  }
 }
 
 std::vector<FieldType> PersistenceManager::signature_of(ClassId cls) const {
@@ -44,15 +42,6 @@ void PersistenceManager::count(const char* name, double amount) {
   if (obs_.metrics != nullptr) obs_.metrics->counter(name).inc(amount);
 }
 
-std::uint64_t PersistenceManager::bytes_on_disk() const {
-  std::uint64_t total = 0;
-  for (std::uint32_t c = 0; c < schema_.class_count(); ++c) {
-    const ClassId cls{c};
-    total += disk_.size(log_file(cls)) + disk_.size(ckpt_file(cls));
-  }
-  return total;
-}
-
 void PersistenceManager::account_disk(std::uint64_t written) {
   if (disk_accounting_) disk_accounting_(written, bytes_on_disk());
 }
@@ -60,15 +49,10 @@ void PersistenceManager::account_disk(std::uint64_t written) {
 // ---------------------------------------------------------------------------
 // append path
 
-Cost PersistenceManager::log_op(ClassId cls, std::uint64_t lsn,
-                                const ServerMessage& op) {
-  if (!config_.enabled) return 0;
-  WalRecord record;
-  record.lsn = lsn;
-  record.payload = wire::encode_message(op);
+Cost PersistenceManager::append_record(ClassId cls, const WalRecord& record) {
   const std::vector<std::uint8_t> framed = encode_record(record);
   const Cost cost = disk_.append(log_file(cls), framed);
-  durable(cls).durable_lsn = lsn;
+  durable(cls).durable_lsn = record.lsn;
   ++stats_.appends;
   stats_.append_bytes += framed.size();
   count("persist.appends");
@@ -290,7 +274,7 @@ std::optional<std::string> PersistenceManager::inject_fault(
   }
   if (targets.empty()) return std::nullopt;
   const ClassId cls = targets[salt % targets.size()];
-  const std::string file = log_file(cls);
+  const std::string& file = log_file(cls);
   const std::string label = "c" + std::to_string(cls.value);
   bool did = false;
   std::string what;

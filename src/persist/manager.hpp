@@ -29,6 +29,7 @@
 #include "obs/obs.hpp"
 #include "paso/classes.hpp"
 #include "paso/messages.hpp"
+#include "paso/wire.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/disk.hpp"
 #include "persist/wal.hpp"
@@ -103,13 +104,18 @@ class PersistenceManager {
   }
 
   /// Total durable bytes currently on this machine's disk (logs +
-  /// checkpoints across all classes).
-  std::uint64_t bytes_on_disk() const;
+  /// checkpoints across all classes): the disk's running total, O(1).
+  std::uint64_t bytes_on_disk() const { return disk_.total_bytes(); }
 
   // --- append path ----------------------------------------------------------
-  /// Append one applied operation at `lsn`. Returns the disk cost (0 when
+  /// Append one applied operation at `lsn`: a ServerMessage, or a StoreMsg
+  /// or RemoveMsg encoded where it lies. Returns the disk cost (0 when
   /// disabled).
-  Cost log_op(ClassId cls, std::uint64_t lsn, const ServerMessage& op);
+  template <typename Message>
+  Cost log_op(ClassId cls, std::uint64_t lsn, const Message& op) {
+    if (!config_.enabled) return 0;
+    return append_record(cls, {lsn, wire::encode_message(op)});
+  }
 
   /// Whether the checkpoint policy (bytes-since-last or age) has tripped.
   bool checkpoint_due(ClassId cls, sim::SimTime now) const;
@@ -180,8 +186,19 @@ class PersistenceManager {
     sim::SimTime last_checkpoint_at = 0;
   };
 
-  std::string log_file(ClassId cls) const;
-  std::string ckpt_file(ClassId cls) const;
+  /// A class's two file names, built once per class.
+  struct ClassFiles {
+    std::string log;
+    std::string ckpt;
+  };
+
+  const std::string& log_file(ClassId cls) const {
+    return files_[cls.value].log;
+  }
+  const std::string& ckpt_file(ClassId cls) const {
+    return files_[cls.value].ckpt;
+  }
+  Cost append_record(ClassId cls, const WalRecord& record);
   std::vector<FieldType> signature_of(ClassId cls) const;
   ClassDurable& durable(ClassId cls);
   void count(const char* name, double amount = 1);
@@ -191,6 +208,7 @@ class PersistenceManager {
   const Schema& schema_;
   PersistenceConfig config_;
   SimDisk disk_;
+  std::vector<ClassFiles> files_;
   obs::Obs obs_;
   std::unordered_map<std::uint32_t, ClassDurable> classes_;
   PersistStats stats_;

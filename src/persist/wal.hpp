@@ -6,7 +6,7 @@
 //
 // The payload is a wire-encoded ServerMessage (the codec already sizes every
 // message honestly, so framed length == charged bytes + 16 of framing). The
-// checksum (FNV-1a over length, lsn and payload) makes torn tail writes,
+// checksum (CRC-32C over lsn, length and payload) makes torn tail writes,
 // lost fsyncs and flipped bytes *detectable*: scan_log stops at the first
 // record that fails its length or checksum test and reports the clean prefix
 // so the caller can truncate and carry on — the paper's erased-memory crash
@@ -31,10 +31,17 @@ struct WalRecord {
 /// Framing overhead per record (length + lsn + checksum).
 inline constexpr std::size_t kWalFrameBytes = 16;
 
-/// FNV-1a over the frame header and payload; seeded with the lsn so a record
-/// spliced from another position never checks out.
-std::uint32_t wal_checksum(std::uint64_t lsn,
-                           const std::vector<std::uint8_t>& payload);
+/// CRC-32C (Castagnoli, reflected, as in iSCSI and ext4) of `size` bytes,
+/// computed slice-by-8. Passing a previous result as `crc` continues it:
+/// crc32c(b, crc32c(a)) is the CRC of a followed by b.
+std::uint32_t crc32c(const std::uint8_t* data, std::size_t size,
+                     std::uint32_t crc = 0);
+
+/// CRC-32C over the lsn (8 bytes, little-endian), the payload length (4
+/// bytes) and the payload: seeded with the lsn so a record spliced from
+/// another position never checks out. Reads the payload where it lies.
+std::uint32_t wal_checksum(std::uint64_t lsn, const std::uint8_t* payload,
+                           std::size_t size);
 
 std::vector<std::uint8_t> encode_record(const WalRecord& record);
 

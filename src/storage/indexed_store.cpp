@@ -69,16 +69,45 @@ Cost IndexedStore::query_cost() const {
   return 1 + std::floor(std::log2(static_cast<double>(size()) + 1));
 }
 
-void IndexedStore::store(PasoObject object, std::uint64_t age) {
-  const PasoObject* stored = base_store(std::move(object), age);
-  if (stored == nullptr) return;
+void IndexedStore::AgeBucket::add(std::uint64_t age) {
+  if (!more_) {
+    more_ = std::make_unique<std::vector<std::uint64_t>>(
+        age < one_ ? std::vector<std::uint64_t>{age, one_}
+                   : std::vector<std::uint64_t>{one_, age});
+    return;
+  }
+  // Ages arrive ascending in delivery order, so this is an append; an
+  // out-of-order age still lands in sorted position.
+  more_->insert(std::upper_bound(more_->begin(), more_->end(), age), age);
+}
+
+bool IndexedStore::AgeBucket::remove(std::uint64_t age) {
+  if (!more_) return one_ == age;
+  // Age-ascending bucket: one binary search finds the age.
+  const auto at = std::lower_bound(more_->begin(), more_->end(), age);
+  if (at == more_->end() || *at != age) return false;
+  more_->erase(at);
+  if (more_->size() == 1) {
+    one_ = more_->front();
+    more_.reset();
+  }
+  return false;
+}
+
+void IndexedStore::index_stored(const PasoObject& object, std::uint64_t age) {
   for (FieldIndex& index : indexes_) {
-    if (index.field >= stored->fields.size()) continue;
-    const Value& value = stored->fields[index.field];
-    index.buckets[value_hash(value)].push_back(age);
+    if (index.field >= object.fields.size()) continue;
+    const Value& value = object.fields[index.field];
+    const auto [bucket, inserted] =
+        index.buckets.emplace(value_hash(value), AgeBucket(age));
+    if (!inserted) bucket->add(age);
     if (options_.ordered) index.sorted.insert(value, age);
     ++index.entries;
   }
+}
+
+void IndexedStore::index_reserve(std::size_t n) {
+  for (FieldIndex& index : indexes_) index.buckets.reserve(n);
 }
 
 const IndexedStore::FieldIndex& IndexedStore::index_of(
@@ -98,8 +127,9 @@ void IndexedStore::visit_paths(const SearchCriterion& sc, Emit&& emit) const {
     // Exact/OneOf: the hash buckets give an exact candidate count.
     std::size_t candidates = 0;
     const bool hashed = for_each_hash_key(pattern, [&](std::size_t key) {
-      auto it = index.buckets.find(key);
-      if (it != index.buckets.end()) candidates += it->second.size();
+      if (const AgeBucket* bucket = index.buckets.find(key)) {
+        candidates += bucket->size();
+      }
     });
     if (hashed) {
       emit(PlanStep{index.field, false, candidates});
@@ -138,23 +168,20 @@ PlanAccess IndexedStore::choose_driver(const SearchCriterion& sc,
 
 IndexedStore::Slot IndexedStore::probe_age(const SearchCriterion& sc,
                                            std::uint64_t age) const {
-  const Slot slot = by_age_.find(age);
-  if (slot == by_age_.end() || !probe(sc, slot->second)) return by_age_.end();
+  const Slot slot = find_age(age);
+  if (slot == nullptr || !probe(sc, *slot->object)) return nullptr;
   return slot;
 }
 
 IndexedStore::Slot IndexedStore::oldest_match(
     const SearchCriterion& sc) const {
-  if (sc.top_k && !sc.ranked_valid()) return by_age_.end();
+  if (sc.top_k && !sc.ranked_valid()) return nullptr;
   PlanStep driver;
   const PlanAccess access = choose_driver(sc, driver);
-  if (access == PlanAccess::kImpossible) return by_age_.end();
+  if (access == PlanAccess::kImpossible) return nullptr;
   if (access == PlanAccess::kScan) {
     if (sc.top_k) return ranked_walk_or_scan(sc);
-    for (Slot slot = by_age_.begin(); slot != by_age_.end(); ++slot) {
-      if (probe(sc, slot->second)) return slot;
-    }
-    return by_age_.end();
+    return scan_oldest(sc);
   }
   if (sc.top_k) return ranked_from_index(sc, driver);
   const FieldIndex& index = index_of(driver.field);
@@ -165,20 +192,20 @@ IndexedStore::Slot IndexedStore::oldest_match(
         index.sorted, index.sorted.span(sorted_region(sc.fields[index.field])));
     while (const SortedIndex::Entry* entry = order.next()) {
       const Slot slot = probe_age(sc, entry->age);
-      if (slot != by_age_.end()) return slot;
+      if (slot != nullptr) return slot;
     }
-    return by_age_.end();
+    return nullptr;
   }
-  Slot best = by_age_.end();
+  Slot best = nullptr;
   for_each_hash_key(sc.fields[index.field], [&](std::size_t key) {
-    auto it = index.buckets.find(key);
-    if (it == index.buckets.end()) return;
+    const AgeBucket* bucket = index.buckets.find(key);
+    if (bucket == nullptr) return;
     // Buckets are age-ascending: the first verified hit is the bucket's
     // oldest match; take the minimum across buckets.
-    for (const std::uint64_t age : it->second) {
+    for (const std::uint64_t age : bucket->ages()) {
       const Slot slot = probe_age(sc, age);
-      if (slot == by_age_.end()) continue;
-      if (best == by_age_.end() || age < best->first) best = slot;
+      if (slot == nullptr) continue;
+      if (best == nullptr || age < best->age) best = slot;
       break;
     }
   });
@@ -202,15 +229,16 @@ IndexedStore::Slot IndexedStore::ranked_from_index(
   std::vector<Scored> scored;
   const auto score = [&](std::uint64_t age) {
     const Slot slot = probe_age(sc, age);
-    if (slot == by_age_.end()) return;
+    if (slot == nullptr) return;
     scored.push_back(
-        {score_value(slot->second.fields[top_k.field], top_k.score_fn), slot});
+        {score_value(slot->object->fields[top_k.field], top_k.score_fn),
+         slot});
   };
   if (!driver.ordered) {
     for_each_hash_key(sc.fields[index.field], [&](std::size_t key) {
-      auto it = index.buckets.find(key);
-      if (it == index.buckets.end()) return;
-      for (const std::uint64_t age : it->second) score(age);
+      const AgeBucket* bucket = index.buckets.find(key);
+      if (bucket == nullptr) return;
+      for (const std::uint64_t age : bucket->ages()) score(age);
     });
   } else {
     index.sorted.ascending(index.sorted.span(region),
@@ -230,15 +258,15 @@ IndexedStore::Slot IndexedStore::ranked_region_walk(
   // order. Stop at the k-th verified match.
   const TopK& top_k = *sc.top_k;
   std::uint32_t seen = 0;
-  Slot found = by_age_.end();
+  Slot found = nullptr;
   const auto visit = [&](const SortedIndex::Entry& entry) {
     found = probe_age(sc, entry.age);
-    return found != by_age_.end() && ++seen == top_k.k;
+    return found != nullptr && ++seen == top_k.k;
   };
   const SortedIndex::Span span = index.sorted.span(region);
   const bool hit = top_k.descending ? index.sorted.descending(span, visit)
                                     : index.sorted.ascending(span, visit);
-  return hit ? found : by_age_.end();
+  return hit ? found : nullptr;
 }
 
 IndexedStore::Slot IndexedStore::ranked_walk_or_scan(
@@ -252,9 +280,9 @@ IndexedStore::Slot IndexedStore::ranked_walk_or_scan(
     for (const FieldIndex& index : indexes_) {
       if (index.field != top_k.field) continue;
       SortedRegion region = sorted_region(sc.fields[index.field]);
-      if (region.empty) return by_age_.end();
+      if (region.empty) return nullptr;
       if (!region.usable) {
-        if (index.sorted.empty()) return by_age_.end();
+        if (index.sorted.empty()) return nullptr;
         const FieldType front = type_of(index.sorted.front().value);
         if (type_of(index.sorted.back().value) != front) break;
         region.usable = true;
@@ -269,24 +297,24 @@ IndexedStore::Slot IndexedStore::ranked_walk_or_scan(
 
 std::optional<PasoObject> IndexedStore::find(const SearchCriterion& sc) const {
   const Slot slot = oldest_match(sc);
-  if (slot == by_age_.end()) return std::nullopt;
-  return slot->second;
+  if (slot == nullptr) return std::nullopt;
+  return *slot->object;
 }
 
 std::optional<PasoObject> IndexedStore::remove(const SearchCriterion& sc) {
   const Slot slot = oldest_match(sc);
-  if (slot == by_age_.end()) return std::nullopt;
-  const std::uint64_t age = slot->first;
-  PasoObject object = base_erase(slot);
-  drop_from_indexes(object, age);
-  return object;
+  if (slot == nullptr) return std::nullopt;
+  const std::uint64_t age = slot->age;
+  const ObjectRef object = base_erase(slot);
+  drop_from_indexes(*object, age);
+  return *object;
 }
 
 bool IndexedStore::erase(ObjectId id) {
   const auto age = age_of(id);
   if (!age) return false;
-  PasoObject object = base_erase(*age);
-  drop_from_indexes(object, *age);
+  const ObjectRef object = base_erase(find_age(*age));
+  drop_from_indexes(*object, *age);
   return true;
 }
 
@@ -295,14 +323,9 @@ void IndexedStore::drop_from_indexes(const PasoObject& object,
   for (FieldIndex& index : indexes_) {
     if (index.field >= object.fields.size()) continue;
     const Value& value = object.fields[index.field];
-    auto it = index.buckets.find(value_hash(value));
-    if (it != index.buckets.end()) {
-      // Age-ascending bucket: one binary search finds the age.
-      std::vector<std::uint64_t>& ages = it->second;
-      const auto at = std::lower_bound(ages.begin(), ages.end(), age);
-      if (at != ages.end() && *at == age) ages.erase(at);
-      if (ages.empty()) index.buckets.erase(it);
-    }
+    const std::size_t key = value_hash(value);
+    AgeBucket* bucket = index.buckets.find(key);
+    if (bucket != nullptr && bucket->remove(age)) index.buckets.erase(key);
     if (options_.ordered) index.sorted.erase(value, age);
     if (index.entries > 0) --index.entries;
   }

@@ -4,7 +4,8 @@
 //
 // Section 5 allows "several such data structures ... for a single class";
 // IndexedStore takes that to its useful extreme. Each indexed field keeps a
-// hash index (value hash -> age list, kept in age order) serving Exact and
+// hash index (a FlatTable from value hash to age list, kept in age order;
+// a list of one age is stored inline in the table slot) serving Exact and
 // OneOf patterns; in ordered mode each field additionally keeps a sorted
 // twin — a SortedIndex, the counted, min-age B+-tree of (value, age)
 // entries — serving Range, IntRange/RealRange, TextPrefix and rank-ordered
@@ -24,9 +25,11 @@
 //     queries: Q = 1 + floor(log2(l+1)), I = D = 2.
 #pragma once
 
-#include <unordered_map>
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "common/flat_table.hpp"
 #include "storage/sorted_index.hpp"
 #include "storage/store_base.hpp"
 
@@ -56,7 +59,6 @@ class IndexedStore final : public StoreBase {
   explicit IndexedStore(std::vector<std::size_t> indexed_fields = {0});
   IndexedStore(std::vector<std::size_t> indexed_fields, Options options);
 
-  void store(PasoObject object, std::uint64_t age) override;
   std::optional<PasoObject> find(const SearchCriterion& sc) const override;
   std::optional<PasoObject> remove(const SearchCriterion& sc) override;
   bool erase(ObjectId id) override;
@@ -84,17 +86,39 @@ class IndexedStore final : public StoreBase {
   QueryPlan plan(const SearchCriterion& sc) const;
 
  private:
+  /// The ages of the objects carrying one value hash, ascending. A lone
+  /// age — the usual case on a key field — lives inline, so a key field's
+  /// table slot is 24 bytes and owns no heap block; a second age moves both
+  /// into `more_`, which then always holds two or more.
+  class AgeBucket {
+   public:
+    AgeBucket() = default;
+    explicit AgeBucket(std::uint64_t age) : one_(age) {}
+    std::span<const std::uint64_t> ages() const {
+      if (!more_) return {&one_, 1};
+      return *more_;
+    }
+    std::size_t size() const { return more_ ? more_->size() : 1; }
+    void add(std::uint64_t age);
+    /// Drops `age` if present; true when no age is left.
+    bool remove(std::uint64_t age);
+
+   private:
+    std::uint64_t one_ = 0;
+    std::unique_ptr<std::vector<std::uint64_t>> more_;
+  };
+
   struct FieldIndex {
     std::size_t field = 0;
-    // value hash -> ages of objects carrying that value, age-ascending
-    // (ages only ever grow and load() replays in age order, so push_back
-    // preserves the invariant).
-    std::unordered_map<std::size_t, std::vector<std::uint64_t>> buckets;
+    // value hash -> ages of objects carrying that value, age-ascending.
+    FlatTable<std::size_t, AgeBucket> buckets;
     // Ordered mode: (value, age) entries in a counted, min-age B+-tree.
     SortedIndex sorted;
     std::size_t entries = 0;
   };
 
+  void index_stored(const PasoObject& object, std::uint64_t age) override;
+  void index_reserve(std::size_t n) override;
   void index_cleared() override;
   /// Emits one PlanStep per index that can serve `sc`, in field order.
   template <typename Emit>
@@ -102,7 +126,7 @@ class IndexedStore final : public StoreBase {
   /// plan(sc)'s access, with its front step written to `driver` when the
   /// access is kIndex.
   PlanAccess choose_driver(const SearchCriterion& sc, PlanStep& driver) const;
-  /// The object a read answers with, or by_age_.end(): the candidate lookup
+  /// The object a read answers with, or null: the candidate lookup
   /// that verified the match is the only lookup the read makes.
   Slot oldest_match(const SearchCriterion& sc) const;
   /// Ranked read driven by an index path (hash bucket enumeration or a
@@ -117,7 +141,7 @@ class IndexedStore final : public StoreBase {
   /// Ranked read with no driving path: a rank-ordered walk of the rank
   /// field's sorted twin when order-compatible, else the spec scan.
   Slot ranked_walk_or_scan(const SearchCriterion& sc) const;
-  /// by_age_'s slot for `age` when it exists and `sc` matches it.
+  /// The live slot for `age` when it exists and `sc` matches it.
   Slot probe_age(const SearchCriterion& sc, std::uint64_t age) const;
   const FieldIndex& index_of(std::size_t field) const;
   void drop_from_indexes(const PasoObject& object, std::uint64_t age);

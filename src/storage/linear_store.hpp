@@ -11,31 +11,22 @@ namespace paso::storage {
 
 class LinearStore final : public StoreBase {
  public:
-  void store(PasoObject object, std::uint64_t age) override {
-    base_store(std::move(object), age);
-  }
-
   std::optional<PasoObject> find(const SearchCriterion& sc) const override {
-    return oldest_or_ranked(sc);
+    const Slot slot = oldest_or_ranked(sc);
+    if (slot == nullptr) return std::nullopt;
+    return *slot->object;
   }
 
   std::optional<PasoObject> remove(const SearchCriterion& sc) override {
-    if (sc.top_k) {
-      if (!sc.ranked_valid()) return std::nullopt;
-      const Slot slot = ranked_scan(sc);
-      if (slot == by_age_.end()) return std::nullopt;
-      return base_erase(slot);
-    }
-    for (const auto& [age, object] : by_age_) {
-      if (probe(sc, object)) return base_erase(age);
-    }
-    return std::nullopt;
+    const Slot slot = oldest_or_ranked(sc);
+    if (slot == nullptr) return std::nullopt;
+    return *base_erase(slot);
   }
 
   bool erase(ObjectId id) override {
     const auto age = age_of(id);
     if (!age) return false;
-    base_erase(*age);
+    base_erase(find_age(*age));
     return true;
   }
 
@@ -49,19 +40,13 @@ class LinearStore final : public StoreBase {
   const char* kind() const override { return "linear"; }
 
  private:
+  void index_stored(const PasoObject&, std::uint64_t) override {}
   void index_cleared() override {}
 
-  std::optional<PasoObject> oldest_or_ranked(const SearchCriterion& sc) const {
-    if (sc.top_k) {
-      if (!sc.ranked_valid()) return std::nullopt;
-      const Slot slot = ranked_scan(sc);
-      if (slot == by_age_.end()) return std::nullopt;
-      return slot->second;
-    }
-    for (const auto& [age, object] : by_age_) {
-      if (probe(sc, object)) return object;
-    }
-    return std::nullopt;
+  Slot oldest_or_ranked(const SearchCriterion& sc) const {
+    if (!sc.top_k) return scan_oldest(sc);
+    if (!sc.ranked_valid()) return nullptr;
+    return ranked_scan(sc);
   }
 };
 

@@ -32,10 +32,16 @@
 
 namespace paso::storage {
 
+/// A stored object. Objects are immutable once inserted (paper Section 1),
+/// so stores, snapshots, state-transfer blobs and checkpoint images share
+/// one copy by reference count instead of copying the tuple. The count is
+/// atomic: replicas on different worker threads may share an object.
+using ObjectRef = std::shared_ptr<const PasoObject>;
+
 /// A stored object together with its replica-consistent age.
 struct StoredObject {
   std::uint64_t age = 0;  ///< gcast delivery sequence within the class
-  PasoObject object;
+  ObjectRef object;
 };
 
 class ObjectStore {
@@ -63,10 +69,11 @@ class ObjectStore {
   /// state-transfer payload size and hence drives the join cost K.
   virtual std::size_t state_bytes() const = 0;
 
-  /// Snapshot in age order (donor side of a state transfer).
+  /// Snapshot in age order (donor side of a state transfer). The snapshot
+  /// shares the store's objects.
   virtual std::vector<StoredObject> snapshot() const = 0;
 
-  /// Replace contents with a snapshot (joiner side).
+  /// Replace contents with a snapshot (joiner side), sharing its objects.
   virtual void load(const std::vector<StoredObject>& objects) = 0;
 
   virtual void clear() = 0;

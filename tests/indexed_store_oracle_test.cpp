@@ -204,7 +204,7 @@ void run_oracle(int seed, const std::vector<std::size_t>& indexed_fields,
       // Erase by identity of a random live object (if any).
       const auto snapshot = linear.snapshot();
       if (!snapshot.empty()) {
-        const ObjectId id = snapshot[rng.index(snapshot.size())].object.id;
+        const ObjectId id = snapshot[rng.index(snapshot.size())].object->id;
         const bool erased = linear.erase(id);
         for (Family& family : families) {
           EXPECT_EQ(family.store->erase(id), erased)
@@ -236,7 +236,7 @@ void run_oracle(int seed, const std::vector<std::size_t>& indexed_fields,
     for (std::size_t i = 0; i < snap.size(); ++i) {
       EXPECT_EQ(snap[i].age, snap_linear[i].age)
           << family.name << " seed " << seed;
-      EXPECT_EQ(snap[i].object.id, snap_linear[i].object.id)
+      EXPECT_EQ(snap[i].object->id, snap_linear[i].object->id)
           << family.name << " seed " << seed;
     }
   }
@@ -278,6 +278,110 @@ TEST(IndexedStoreOracleTest, MatchesLinearStoreAcrossSeeds) {
     run_oracle(seed, config, &replay);
     EXPECT_EQ(probes, replay) << "probe accounting diverged on replay, seed "
                               << seed;
+  }
+}
+
+/// Every family's snapshot agrees with the spec's, object for object.
+void expect_same_snapshots(const LinearStore& linear,
+                           const std::vector<Family>& families, int seed,
+                           int round) {
+  const auto expected = linear.snapshot();
+  for (const Family& family : families) {
+    const auto snap = family.store->snapshot();
+    ASSERT_EQ(snap.size(), expected.size())
+        << family.name << " seed " << seed << " round " << round;
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+      EXPECT_EQ(snap[i].age, expected[i].age)
+          << family.name << " seed " << seed;
+      EXPECT_EQ(snap[i].object->id, expected[i].object->id)
+          << family.name << " seed " << seed;
+    }
+  }
+}
+
+TEST(IndexedStoreOracleTest, EraseHeavyPhasesMatchLinearStore) {
+  // The age order is a vector with tombstones, compacted once they
+  // outnumber the live entries. Each round fills the stores, then erases
+  // well over half of them — by identity and by criterion — which forces
+  // compaction mid-phase, with finds, snapshots and loads interleaved.
+  // Some refills reuse the ages of erased objects (out of delivery order),
+  // landing on tombstones or in the middle of the vector.
+  const std::vector<std::vector<std::size_t>> configs{{0}, {0, 2}, {0, 1, 2}};
+  for (int seed = 0; seed < 60; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 40503u + 3);
+    LinearStore linear;
+    std::vector<Family> families =
+        make_families(configs[static_cast<std::size_t>(seed) % configs.size()]);
+    std::uint64_t next_age = 0;
+    std::uint64_t next_seq = 0;
+    std::vector<std::uint64_t> freed_ages;
+    for (int round = 0; round < 4; ++round) {
+      const int fill = 40 + static_cast<int>(rng.index(80));
+      for (int i = 0; i < fill; ++i) {
+        std::uint64_t age = next_age;
+        if (!freed_ages.empty() && rng.chance(0.2)) {
+          const std::size_t pick = rng.index(freed_ages.size());
+          age = freed_ages[pick];
+          freed_ages.erase(freed_ages.begin() +
+                           static_cast<std::ptrdiff_t>(pick));
+        } else {
+          ++next_age;
+        }
+        const PasoObject object = random_object(rng, next_seq++);
+        linear.store(object, age);
+        for (Family& family : families) family.store->store(object, age);
+      }
+      const std::size_t target = linear.size() / 4;
+      int op = 0;
+      while (linear.size() > target) {
+        ++op;
+        const double dice = rng.uniform01();
+        if (dice < 0.45) {
+          const auto snapshot = linear.snapshot();
+          const StoredObject& victim = snapshot[rng.index(snapshot.size())];
+          ASSERT_TRUE(linear.erase(victim.object->id));
+          freed_ages.push_back(victim.age);
+          for (Family& family : families) {
+            ASSERT_TRUE(family.store->erase(victim.object->id))
+                << family.name << " seed " << seed;
+          }
+        } else if (dice < 0.80) {
+          const SearchCriterion sc = random_criterion(rng);
+          const auto snapshot = linear.snapshot();
+          const auto from_linear = linear.remove(sc);
+          for (Family& family : families) {
+            expect_same(from_linear, family.store->remove(sc), family.name,
+                        seed, op);
+          }
+          if (from_linear) {
+            for (const StoredObject& stored : snapshot) {
+              if (stored.object->id == from_linear->id) {
+                freed_ages.push_back(stored.age);
+              }
+            }
+          }
+        } else if (dice < 0.95) {
+          const SearchCriterion sc = random_criterion(rng);
+          const auto from_linear = linear.find(sc);
+          for (Family& family : families) {
+            expect_same(from_linear, family.store->find(sc), family.name,
+                        seed, op);
+          }
+        } else {
+          for (Family& family : families) {
+            family.store->load(family.store->snapshot());
+          }
+        }
+        for (Family& family : families) {
+          ASSERT_EQ(family.store->size(), linear.size())
+              << family.name << " seed " << seed << " op " << op;
+          ASSERT_EQ(family.store->state_bytes(), linear.state_bytes())
+              << family.name << " seed " << seed << " op " << op;
+        }
+      }
+      expect_same_snapshots(linear, families, seed, round);
+      if (::testing::Test::HasFailure()) return;
+    }
   }
 }
 

@@ -270,6 +270,61 @@ TEST_F(MemoryServerTest, BatchedDuplicatesAreRefusedLikeLoneOnes) {
   EXPECT_GE(server_.duplicates_refused(), 2u);
 }
 
+TEST_F(MemoryServerTest, StateTransferSharesTheDonorsObjects) {
+  // A full state transfer passes reference counts, not tuples: after
+  // capture_state then install_state the joiner's store holds the donor's
+  // very objects. A donor crash or leave drops only the donor's references;
+  // the joiner's objects stay intact.
+  const GroupName group = schema_.group_name(ClassId{0});
+  for (const bool crash : {true, false}) {
+    storage::ObjectStore* donor_store = nullptr;
+    storage::ObjectStore* joiner_store = nullptr;
+    const auto recording = [](storage::ObjectStore*& out) {
+      return [&out](ClassId) {
+        auto store = std::make_unique<storage::IndexedStore>();
+        out = store.get();
+        return store;
+      };
+    };
+    MemoryServer donor(MachineId{0}, schema_, recording(donor_store),
+                       network_);
+    MemoryServer joiner(MachineId{1}, schema_, recording(joiner_store),
+                        network_);
+    for (std::uint64_t seq = 1; seq <= 6; ++seq) {
+      const ServerMessage msg = StoreMsg{
+          ClassId{0}, object(seq, static_cast<std::int64_t>(seq), "shared")};
+      donor.handle_gcast(group, vsync::Payload{msg, message_wire_size(msg)});
+    }
+    joiner.install_state(group, donor.capture_state(group));
+    ASSERT_NE(donor_store, nullptr);
+    ASSERT_NE(joiner_store, nullptr);
+    const auto donated = donor_store->snapshot();
+    const auto installed = joiner_store->snapshot();
+    ASSERT_EQ(installed.size(), donated.size());
+    for (std::size_t i = 0; i < donated.size(); ++i) {
+      EXPECT_EQ(installed[i].age, donated[i].age);
+      EXPECT_EQ(installed[i].object.get(), donated[i].object.get())
+          << "object " << i << " was copied, not shared";
+    }
+
+    if (crash) {
+      donor.crash_reset();
+    } else {
+      donor.erase_state(group);
+    }
+    EXPECT_FALSE(donor.supports(ClassId{0}));
+    ASSERT_EQ(joiner.live_count(ClassId{0}), 6u);
+    for (std::uint64_t seq = 1; seq <= 6; ++seq) {
+      const auto found = joiner.local_find(
+          ClassId{0},
+          criterion(Exact{Value{static_cast<std::int64_t>(seq)}}, AnyField{}));
+      ASSERT_TRUE(found.has_value()) << seq;
+      EXPECT_TRUE(*found == object(seq, static_cast<std::int64_t>(seq),
+                                   "shared"));
+    }
+  }
+}
+
 TEST_F(MemoryServerTest, StateRoundTripPreservesAgesAndMarkers) {
   deliver(StoreMsg{ClassId{0}, object(1, 5)});
   deliver(StoreMsg{ClassId{0}, object(2, 6)});

@@ -111,7 +111,43 @@ TEST(WalTest, ChecksumIsPositionBound) {
   // The same payload at a different lsn must not validate: the checksum is
   // seeded with the lsn, so spliced records are detected.
   const std::vector<std::uint8_t> payload{1, 2, 3};
-  EXPECT_NE(wal_checksum(1, payload), wal_checksum(2, payload));
+  EXPECT_NE(wal_checksum(1, payload.data(), payload.size()),
+            wal_checksum(2, payload.data(), payload.size()));
+}
+
+TEST(WalTest, Crc32cKnownAnswer) {
+  // The standard check value of CRC-32C (Castagnoli), as in RFC 3720.
+  const std::string check = "123456789";
+  const auto* data = reinterpret_cast<const std::uint8_t*>(check.data());
+  EXPECT_EQ(crc32c(data, check.size()), 0xE3069283u);
+  // Continuing a CRC over a split buffer gives the CRC of the whole, at
+  // every split point (the slice-by-8 body and the byte tail both run).
+  for (std::size_t cut = 0; cut <= check.size(); ++cut) {
+    EXPECT_EQ(crc32c(data + cut, check.size() - cut, crc32c(data, cut)),
+              0xE3069283u)
+        << "split at " << cut;
+  }
+}
+
+TEST(WalTest, EverySingleByteFlipOfARecordIsDetected) {
+  SimDisk disk;
+  std::vector<std::uint8_t> payload(29);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(7 * i + 1);
+  }
+  disk.append("log", encode_record(WalRecord{42, payload}));
+  const std::size_t size = disk.size("log");
+  for (std::size_t offset = 0; offset < size; ++offset) {
+    ASSERT_TRUE(disk.flip("log", offset));
+    const WalScan scan = scan_log(*disk.peek("log"));
+    EXPECT_TRUE(scan.corrupt) << "flip at " << offset;
+    EXPECT_TRUE(scan.records.empty()) << "flip at " << offset;
+    disk.flip("log", offset);  // the flip is an involution: undo it
+  }
+  const WalScan clean = scan_log(*disk.peek("log"));
+  EXPECT_FALSE(clean.corrupt);
+  ASSERT_EQ(clean.records.size(), 1u);
+  EXPECT_EQ(clean.records[0].payload, payload);
 }
 
 // --- checkpoint images -------------------------------------------------------
@@ -127,7 +163,7 @@ TEST(CheckpointTest, RoundTripsImage) {
     PasoObject object;
     object.id = ObjectId{ProcessId{MachineId{1}, 0}, i};
     object.fields = {Value{std::int64_t(i)}, Value{std::string("v")}};
-    image.objects.push_back({i, object});
+    image.objects.push_back({i, std::make_shared<const PasoObject>(object)});
     image.applied_inserts.push_back(object.id);
   }
   image.remove_cache.emplace_back(99, std::nullopt);
@@ -144,7 +180,7 @@ TEST(CheckpointTest, RoundTripsImage) {
   EXPECT_EQ(decoded->next_age, 7u);
   ASSERT_EQ(decoded->objects.size(), 5u);
   EXPECT_EQ(decoded->objects[4].age, 4u);
-  EXPECT_TRUE(decoded->objects[4].object == image.objects[4].object);
+  EXPECT_TRUE(*decoded->objects[4].object == *image.objects[4].object);
   EXPECT_EQ(decoded->applied_inserts, image.applied_inserts);
   ASSERT_EQ(decoded->remove_cache.size(), 2u);
   EXPECT_FALSE(decoded->remove_cache[0].second.has_value());
@@ -165,6 +201,35 @@ TEST(CheckpointTest, DamagedImageIsRejected) {
   torn.resize(torn.size() - 2);
   EXPECT_FALSE(
       decode_checkpoint(torn, schema.specs()[0].signature).has_value());
+}
+
+TEST(CheckpointTest, EverySingleByteFlipOfAnImageIsDetected) {
+  const Schema schema = task_schema();
+  const auto signature = schema.specs()[0].signature;
+  CheckpointImage image;
+  image.epoch = 2;
+  image.lsn = 17;
+  image.next_age = 3;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    PasoObject object;
+    object.id = ObjectId{ProcessId{MachineId{1}, 0}, i};
+    object.fields = {Value{std::int64_t(i)}, Value{std::string("value")}};
+    image.objects.push_back({i, std::make_shared<const PasoObject>(object)});
+    image.applied_inserts.push_back(object.id);
+  }
+  image.remove_cache.emplace_back(5, std::nullopt);
+  SimDisk disk;
+  disk.overwrite("ckpt", encode_checkpoint(image));
+  const std::size_t size = disk.size("ckpt");
+  for (std::size_t offset = 0; offset < size; ++offset) {
+    ASSERT_TRUE(disk.flip("ckpt", offset));
+    EXPECT_FALSE(decode_checkpoint(*disk.peek("ckpt"), signature).has_value())
+        << "flip at " << offset;
+    disk.flip("ckpt", offset);
+  }
+  const auto clean = decode_checkpoint(*disk.peek("ckpt"), signature);
+  ASSERT_TRUE(clean.has_value());
+  EXPECT_EQ(clean->objects.size(), 3u);
 }
 
 // --- PersistenceManager ------------------------------------------------------
@@ -424,6 +489,64 @@ TEST(PersistenceManagerTest, EraseAndResetClass) {
   manager.erase_class(ClassId{0});
   EXPECT_TRUE(manager.durable_classes().empty());
   EXPECT_FALSE(manager.recover(ClassId{0}).has_value());
+}
+
+TEST(PersistenceManagerTest, BytesOnDiskIsTheSumOfClassFiles) {
+  // bytes_on_disk() is a running total kept by the disk; it must equal the
+  // class files' sizes after every write, compaction, erasure and fault.
+  const Schema schema({
+      ClassSpec{"task", {FieldType::kInt, FieldType::kText}, 0, 3},
+  });
+  PersistenceManager manager(MachineId{0}, schema, enabled_config());
+  const auto files_total = [&] {
+    std::uint64_t total = 0;
+    for (std::uint32_t c = 0; c < schema.class_count(); ++c) {
+      const std::string stem = "c" + std::to_string(c);
+      total += manager.disk().size(stem + ".log") +
+               manager.disk().size(stem + ".ckpt");
+    }
+    return total;
+  };
+  std::uint64_t lsn[3] = {0, 0, 0};
+  const auto append_all = [&](int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      for (std::uint32_t c = 0; c < 3; ++c) {
+        ++lsn[c];
+        manager.log_op(ClassId{c}, lsn[c], store_msg(c, r, 100 * c + lsn[c]));
+        ASSERT_EQ(manager.bytes_on_disk(), files_total());
+      }
+    }
+  };
+  append_all(4);
+  EXPECT_GT(manager.bytes_on_disk(), 0u);
+
+  CheckpointImage image;
+  image.lsn = lsn[0];
+  manager.write_checkpoint(ClassId{0}, image, 1.0);
+  EXPECT_EQ(manager.bytes_on_disk(), files_total()) << "after a checkpoint";
+  image.lsn = lsn[1];
+  manager.reset_class(ClassId{1}, image, 2.0);
+  EXPECT_EQ(manager.bytes_on_disk(), files_total()) << "after reset_class";
+  append_all(3);
+
+  using Kind = PersistenceManager::FaultKind;
+  std::uint64_t salt = 0;
+  for (const Kind kind :
+       {Kind::kLostFsync, Kind::kTornTail, Kind::kCorruptRecord}) {
+    ASSERT_TRUE(manager.inject_fault(kind, salt++).has_value());
+    EXPECT_EQ(manager.bytes_on_disk(), files_total())
+        << persist_fault_name(kind);
+  }
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    manager.recover(ClassId{c});  // repair-truncates the damaged logs
+    EXPECT_EQ(manager.bytes_on_disk(), files_total()) << "recover c" << c;
+  }
+  manager.erase_class(ClassId{2});
+  EXPECT_EQ(manager.bytes_on_disk(), files_total()) << "after erase_class";
+  manager.erase_class(ClassId{0});
+  manager.erase_class(ClassId{1});
+  EXPECT_EQ(manager.bytes_on_disk(), 0u);
+  EXPECT_EQ(files_total(), 0u);
 }
 
 }  // namespace
