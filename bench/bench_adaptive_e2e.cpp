@@ -94,7 +94,8 @@ Totals run_workload(Policy policy, double update_share, std::uint64_t seed,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::string sidecar = obs_sidecar_arg(argc, argv);
   print_header("E9 / Section 5 objective: total work + msg cost, adaptive "
                "vs static (n=8, lambda=1, K=8)");
   std::printf("%12s | %12s %12s %12s | %s\n", "update share", "minimal",
@@ -131,12 +132,14 @@ int main() {
     }
   }
 
-  // One instrumented re-run of a mixed regime: full per-op tracing + metrics
-  // into a sidecar that tools/trace_report decomposes and reconciles against
-  // the CostLedger.
-  run_workload(Policy::kAdaptive, 0.2, 1, "bench_adaptive_e2e.obs.jsonl");
-  std::printf("\nobservability sidecar: bench_adaptive_e2e.obs.jsonl "
-              "(feed to tools/trace_report)\n");
+  // With --obs=PATH, one instrumented re-run of a mixed regime: full per-op
+  // tracing + metrics into a sidecar that tools/trace_report decomposes and
+  // reconciles against the CostLedger.
+  if (!sidecar.empty()) {
+    run_workload(Policy::kAdaptive, 0.2, 1, sidecar);
+    std::printf("\nobservability sidecar: %s (feed to tools/trace_report)\n",
+                sidecar.c_str());
+  }
 
   std::printf(
       "\nThe crossover: eager wins only at update share ~0 (pure reads),\n"

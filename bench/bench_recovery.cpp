@@ -74,7 +74,8 @@ RecoveryRow measure_recovery(std::size_t live, std::size_t staleness,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::string sidecar = obs_sidecar_arg(argc, argv);
   print_header("E8 / g-join state transfer: initialization is Theta(l)");
   std::printf("%6s | %12s %12s %10s %12s | %12s\n", "l", "xfer bytes",
               "msg cost", "time", "duration", "bytes/l");
@@ -86,10 +87,11 @@ int main() {
     ClusterConfig config;
     config.machines = 5;
     config.lambda = 1;
-    // Meter the largest transfer with full observability: the sidecar's
-    // vsync.state_transfer_* metrics give the recovery's byte/duration story
-    // and trace_report reconciles its message cost against the ledger.
-    config.observe = live == largest;
+    // With --obs=PATH, meter the largest transfer with full observability:
+    // the sidecar's vsync.state_transfer_* metrics give the recovery's
+    // byte/duration story and trace_report reconciles its message cost
+    // against the ledger.
+    config.observe = !sidecar.empty() && live == largest;
     Cluster cluster(TaskCluster::schema(), config);
     cluster.assign_basic_support();
     const auto support = cluster.basic_support(ClassId{0});
@@ -133,8 +135,8 @@ int main() {
       return 1;
     }
     if (cluster.observing()) {
-      write_obs_sidecar(cluster, "bench_recovery.obs.jsonl");
-      std::printf("observability sidecar: bench_recovery.obs.jsonl\n");
+      write_obs_sidecar(cluster, sidecar);
+      std::printf("observability sidecar: %s\n", sidecar.c_str());
     }
   }
 

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -89,6 +90,22 @@ inline void result_line(const std::string& bench, const std::string& config,
   line.field("msg_cost", msg_cost).field("bytes", bytes);
   if (work > 0) line.field("work", work);
   line.emit();
+}
+
+/// The sidecar path given as `--obs=PATH`, or empty when the flag is absent
+/// (then the bench writes no sidecar). Any other argument is an error.
+inline std::string obs_sidecar_arg(int argc, char** argv) {
+  const std::string flag = "--obs=";
+  std::string path;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind(flag, 0) != 0 || arg.size() == flag.size()) {
+      std::fprintf(stderr, "usage: %s [--obs=PATH]\n", argv[0]);
+      std::exit(2);
+    }
+    path = arg.substr(flag.size());
+  }
+  return path;
 }
 
 /// Dump the cluster's observability data as a JSONL sidecar next to the

@@ -8,7 +8,9 @@
 // destroying one frees two blocks (plus whatever the values own).
 //
 // Iteration order depends on the capacity and the insertion history, so it
-// is not a replica-consistent order: callers that emit keys sort them first.
+// is not a replica-consistent order. A set whose keys must come out in the
+// same order on every replica is an AppendSet (common/append_set.hpp),
+// which keeps them in insertion order.
 // Any mutation may move slots, so pointers returned by find()/emplace() are
 // valid only until the next insert or erase.
 #pragma once
@@ -21,18 +23,23 @@
 
 namespace paso {
 
-/// Value type of a FlatTable used as a set.
-struct FlatUnit {
-  friend bool operator==(FlatUnit, FlatUnit) = default;
-};
+/// The murmur3 / splitmix64 finalizer: every input bit reaches every output
+/// bit, so the low bits used as a slot index are well spread.
+inline std::uint64_t hash_mix(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
 
-template <typename Key, typename Value = FlatUnit,
-          typename Hash = std::hash<Key>>
+template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class FlatTable {
  public:
   struct Slot {
     Key key{};
-    [[no_unique_address]] Value value{};
+    Value value{};
   };
 
   FlatTable() = default;
@@ -125,18 +132,9 @@ class FlatTable {
   static constexpr std::size_t kMaxLoadNum = 3;
   static constexpr std::size_t kMaxLoadDen = 4;
 
-  static std::uint64_t mix(std::uint64_t h) {
-    // The murmur3 / splitmix64 finalizer: every input bit reaches every
-    // output bit, so the low bits used as the slot index are well spread.
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    return h;
-  }
   std::size_t home(const Key& key) const {
-    return static_cast<std::size_t>(mix(Hash{}(key))) & (slots_.size() - 1);
+    return static_cast<std::size_t>(hash_mix(Hash{}(key))) &
+           (slots_.size() - 1);
   }
   std::size_t next(std::size_t i) const {
     return (i + 1) & (slots_.size() - 1);

@@ -99,14 +99,9 @@ persist::CheckpointImage MemoryServer::checkpoint_image(
   image.lsn = state.lsn;
   image.next_age = state.next_age;
   image.objects = state.store->snapshot();
-  image.applied_inserts.reserve(state.applied_inserts.size());
-  state.applied_inserts.for_each([&image](const ObjectId& id, FlatUnit) {
-    image.applied_inserts.push_back(id);
-  });
-  // The flat table iterates in slot order, which depends on its history;
-  // sort so the encoded image is byte-identical across replicas with equal
-  // state.
-  std::sort(image.applied_inserts.begin(), image.applied_inserts.end());
+  // Apply order is replica-consistent, so replicas with equal state encode
+  // byte-identical images without sorting.
+  image.applied_inserts = state.applied_inserts.keys();
   image.remove_cache.reserve(state.remove_cache_order.size());
   for (const std::uint64_t token : state.remove_cache_order) {
     image.remove_cache.emplace_back(token, state.remove_cache.at(token));
@@ -214,7 +209,7 @@ void MemoryServer::apply_store(ClassId cls, ClassState& state,
   // function of the delivered prefix, duplicates included, so replaying the
   // log reproduces the exact same numbering.
   note_op(cls, state, msg, processing);
-  if (!state.applied_inserts.emplace(msg.object.id).second) {
+  if (!state.applied_inserts.insert(msg.object.id)) {
     // Duplicate delivery of a store already applied (and possibly since
     // removed): refuse silently so retransmission cannot violate A2.
     ++duplicates_refused_;
@@ -621,11 +616,7 @@ Cost MemoryServer::recover_from_disk() {
       state.store->load(ckpt.objects);
       state.next_age = ckpt.next_age;
       state.lsn = ckpt.lsn;
-      state.applied_inserts.clear();
-      state.applied_inserts.reserve(ckpt.applied_inserts.size());
-      for (const ObjectId& id : ckpt.applied_inserts) {
-        state.applied_inserts.emplace(id);
-      }
+      state.applied_inserts.assign(ckpt.applied_inserts);
       state.remove_cache.clear();
       state.remove_cache_order.clear();
       for (const auto& [token, response] : ckpt.remove_cache) {

@@ -21,7 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/flat_table.hpp"
+#include "common/append_set.hpp"
 #include "net/transport.hpp"
 #include "sim/simulator.hpp"  // sim::SimTime alias (marker TTL bookkeeping)
 #include "obs/obs.hpp"
@@ -170,10 +170,13 @@ class MemoryServer final : public vsync::GroupEndpoint {
     /// Every identity ever stored here — including since-removed ones — so a
     /// retransmitted store(o) neither duplicates a live object nor
     /// resurrects a removed one (A2: at-most-one insert per identity).
-    /// A flat table: copying it into a state-transfer blob copies two
-    /// arrays. Its iteration order is not replica-consistent; checkpoints
-    /// sort the identities they store.
-    FlatTable<ObjectId> applied_inserts;
+    /// Kept in apply order, which is a function of the delivered prefix
+    /// alone: gcasts are totally ordered, a full install copies the donor's
+    /// sequence, recovery is the checkpoint's sequence followed by the
+    /// replay in lsn order, and a delta install is the joiner's own prefix
+    /// followed by the donor's suffix in lsn order. So replicas at equal lsn
+    /// hold equal sequences, and a checkpoint writes keys() as they stand.
+    AppendSet<ObjectId> applied_inserts;
     /// Remove decisions by operation token, in insertion order for eviction.
     std::unordered_map<std::uint64_t, SearchResponse> remove_cache;
     std::deque<std::uint64_t> remove_cache_order;
@@ -187,7 +190,7 @@ class MemoryServer final : public vsync::GroupEndpoint {
     std::uint64_t next_age = 0;
     std::uint64_t lsn = 0;
     std::vector<Marker> markers;
-    FlatTable<ObjectId> applied_inserts;
+    AppendSet<ObjectId> applied_inserts;
     std::unordered_map<std::uint64_t, SearchResponse> remove_cache;
     std::deque<std::uint64_t> remove_cache_order;
   };

@@ -30,7 +30,7 @@ struct CheckpointImage {
   /// In age order. A captured image shares the store's objects; encoding
   /// it writes them out without copying them first.
   std::vector<storage::StoredObject> objects;
-  /// Idempotence tables, in deterministic (sorted / eviction) order.
+  /// Idempotence tables, in deterministic (apply / eviction) order.
   std::vector<ObjectId> applied_inserts;
   std::vector<std::pair<std::uint64_t, SearchResponse>> remove_cache;
 };

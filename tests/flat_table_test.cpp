@@ -1,8 +1,7 @@
 // FlatTable: the open-addressing table behind the stores' identity and
-// bucket maps and the memory server's applied-insert set. Collisions are
-// forced with degenerate hashes so probe chains, wrap-around and
-// backward-shift erase are exercised on purpose, then a seeded random
-// workload is checked against std::unordered_map.
+// bucket maps. Collisions are forced with degenerate hashes so probe chains,
+// wrap-around and backward-shift erase are exercised on purpose, then a
+// seeded random workload is checked against std::unordered_map.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -99,11 +98,11 @@ TEST(FlatTableTest, GrowsAndKeepsEveryKey) {
 }
 
 TEST(FlatTableTest, CopiesAreIndependent) {
-  FlatTable<ObjectId> original;
+  FlatTable<ObjectId, std::uint64_t> original;
   for (std::uint64_t s = 0; s < 20; ++s) {
-    original.emplace(ObjectId{ProcessId{MachineId{1}, 2}, s});
+    original.emplace(ObjectId{ProcessId{MachineId{1}, 2}, s}, s);
   }
-  FlatTable<ObjectId> copy = original;
+  FlatTable<ObjectId, std::uint64_t> copy = original;
   original.erase(ObjectId{ProcessId{MachineId{1}, 2}, 3});
   original.emplace(ObjectId{ProcessId{MachineId{5}, 0}, 0});
   EXPECT_EQ(copy.size(), 20u);
@@ -111,7 +110,7 @@ TEST(FlatTableTest, CopiesAreIndependent) {
   EXPECT_EQ(copy.find(ObjectId{ProcessId{MachineId{5}, 0}, 0}), nullptr);
   EXPECT_EQ(original.find(ObjectId{ProcessId{MachineId{1}, 2}, 3}), nullptr);
   std::size_t visited = 0;
-  copy.for_each([&visited](const ObjectId&, FlatUnit) { ++visited; });
+  copy.for_each([&visited](const ObjectId&, std::uint64_t) { ++visited; });
   EXPECT_EQ(visited, 20u);
   copy.clear();
   EXPECT_TRUE(copy.empty());

@@ -12,12 +12,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "net/bus_network.hpp"
 #include "paso/cluster.hpp"
+#include "paso/memory_server.hpp"
+#include "persist/checkpoint.hpp"
 #include "persist/manager.hpp"
 #include "semantics/checker.hpp"
+#include "sim/simulator.hpp"
+#include "storage/indexed_store.hpp"
 
 namespace paso {
 namespace {
@@ -334,6 +340,125 @@ TEST(PersistRecoveryTest, DisabledSubsystemDoesNoDiskIO) {
   EXPECT_EQ(tag_stats(cluster, "state-xfer").messages, 1u);
   EXPECT_EQ(tag_stats(cluster, "state-xfer-delta").messages, 0u);
   expect_axioms_hold(cluster);
+}
+
+// The applied-insert identities that a checkpoint writes must be the same
+// sequence on every replica at the same lsn, however the replica got its
+// state: live delivery, a full install, crash recovery from a checkpoint
+// plus a WAL tail, or a delta install. Identities arrive out of their
+// sorted order, so a replica that wrote them in some history-dependent
+// order would disagree. Every path must also keep refusing the store of an
+// object that was stored and then removed.
+TEST(PersistRecoveryTest, DedupOrderAgreesAcrossInstallPaths) {
+  const Schema schema = task_schema();
+  const ClassId cls{0};
+  const GroupName group = schema.group_name(cls);
+  sim::Simulator simulator;
+  net::BusNetwork network(simulator, CostModel{10, 1}, 4);
+  std::vector<std::unique_ptr<persist::PersistenceManager>> disks;
+  std::vector<std::unique_ptr<MemoryServer>> servers;
+  for (std::uint32_t m = 0; m < 4; ++m) {
+    disks.push_back(std::make_unique<persist::PersistenceManager>(
+        MachineId{m}, schema, persistence_on()));
+    servers.push_back(std::make_unique<MemoryServer>(
+        MachineId{m}, schema,
+        [](ClassId) { return std::make_unique<storage::IndexedStore>(); },
+        network));
+    servers.back()->set_persistence(disks.back().get());
+  }
+  MemoryServer& donor = *servers[0];
+  MemoryServer& full = *servers[1];       // full install from the donor
+  MemoryServer& recovered = *servers[2];  // checkpoint + WAL tail replay
+  MemoryServer& delta = *servers[3];      // log replay + the donor's suffix
+
+  const auto deliver = [&](const std::vector<MemoryServer*>& to,
+                           const ServerMessage& msg) {
+    for (MemoryServer* server : to) {
+      server->handle_gcast(group,
+                           vsync::Payload{msg, message_wire_size(msg)});
+    }
+  };
+  // Identities from three creators, each counting down: apply order is
+  // neither sorted nor creator-grouped.
+  const auto object = [](std::int64_t key) {
+    PasoObject o;
+    o.id = ObjectId{ProcessId{MachineId{static_cast<std::uint32_t>(key % 3)},
+                              0},
+                    static_cast<std::uint64_t>(1000 - key)};
+    o.fields = task(key);
+    return o;
+  };
+  const auto store = [&](std::int64_t key) {
+    return ServerMessage{StoreMsg{cls, object(key)}};
+  };
+  const auto remove = [&](std::int64_t key) {
+    return ServerMessage{
+        RemoveMsg{cls, criterion(Exact{Value{key}}, AnyField{})}};
+  };
+
+  // Phase A reaches every replica but the full joiner; the replica that
+  // will recover checkpoints halfway, so its replay is checkpoint + tail.
+  const std::vector<MemoryServer*> phase_a = {&donor, &recovered, &delta};
+  for (std::int64_t key = 0; key < 40; ++key) deliver(phase_a, store(key));
+  for (std::int64_t key = 0; key < 40; key += 7) deliver(phase_a, remove(key));
+  ASSERT_GT(recovered.checkpoint_class(cls), 0);
+  for (std::int64_t key = 40; key < 60; ++key) deliver(phase_a, store(key));
+  deliver(phase_a, remove(45));
+
+  // The delta replica goes down and misses phase B.
+  delta.crash_reset();
+  const std::vector<MemoryServer*> phase_b = {&donor, &recovered};
+  for (std::int64_t key = 60; key < 75; ++key) deliver(phase_b, store(key));
+  deliver(phase_b, remove(61));
+
+  full.install_state(group, donor.capture_state(group));
+  recovered.crash_reset();
+  recovered.recover_from_disk();
+  ASSERT_GT(disks[2]->stats().replayed_records, 0u);
+  delta.recover_from_disk();
+  const auto suffix =
+      donor.capture_delta(group, delta.durable_position(group));
+  ASSERT_TRUE(suffix.has_value());
+  ASSERT_TRUE(delta.install_delta(group, *suffix));
+
+  // Every path refuses a store whose object was stored and then removed.
+  const std::vector<MemoryServer*> all = {&donor, &full, &recovered, &delta};
+  const auto expect_refused = [&](std::int64_t key, const char* when) {
+    for (std::size_t m = 0; m < all.size(); ++m) {
+      const std::uint64_t refused = all[m]->duplicates_refused();
+      const std::size_t live = all[m]->live_count(cls);
+      deliver({all[m]}, store(key));
+      EXPECT_EQ(all[m]->duplicates_refused(), refused + 1)
+          << "replica " << m << " " << when;
+      EXPECT_EQ(all[m]->live_count(cls), live)
+          << "replica " << m << " resurrected a removed object " << when;
+    }
+  };
+  expect_refused(14, "after its install path");
+
+  // Phase C reaches everyone.
+  for (std::int64_t key = 75; key < 90; ++key) deliver(all, store(key));
+  deliver(all, remove(80));
+  expect_refused(80, "after further ops");
+
+  std::vector<persist::CheckpointImage> images;
+  for (std::size_t m = 0; m < all.size(); ++m) {
+    ASSERT_GT(all[m]->checkpoint_class(cls), 0);
+    const auto* bytes = disks[m]->disk().peek("c0.ckpt");
+    ASSERT_NE(bytes, nullptr) << "replica " << m;
+    auto image =
+        persist::decode_checkpoint(*bytes, schema.specs()[0].signature);
+    ASSERT_TRUE(image.has_value()) << "replica " << m;
+    images.push_back(std::move(*image));
+  }
+  // 90 identities stored, none twice.
+  EXPECT_EQ(images[0].applied_inserts.size(), 90u);
+  for (std::size_t m = 1; m < images.size(); ++m) {
+    EXPECT_EQ(images[m].lsn, images[0].lsn) << "replica " << m;
+    EXPECT_EQ(images[m].next_age, images[0].next_age) << "replica " << m;
+    EXPECT_EQ(images[m].applied_inserts, images[0].applied_inserts)
+        << "replica " << m << " wrote its identities in another order";
+  }
 }
 
 }  // namespace
