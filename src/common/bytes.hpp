@@ -31,6 +31,14 @@ class ByteWriter {
     bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
 
+  /// Raw bytes, no length prefix.
+  void append(std::span<const std::uint8_t> data) {
+    bytes_.insert(bytes_.end(), data.begin(), data.end());
+  }
+
+  /// Size the buffer once when the caller knows the encoded length.
+  void reserve(std::size_t n) { bytes_.reserve(n); }
+
   std::size_t size() const { return bytes_.size(); }
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }

@@ -28,8 +28,23 @@ ObjectId decode_id(ByteReader& r) {
 
 }  // namespace
 
+std::size_t encoded_checkpoint_size(const CheckpointImage& image) {
+  // epoch, lsn, next_age, three counts and the 4-byte seal.
+  std::size_t size = 3 * 8 + 3 * 4 + 4;
+  for (const storage::StoredObject& stored : image.objects) {
+    size += 8 + stored.object->wire_size();
+  }
+  size += 16 * image.applied_inserts.size();
+  for (const auto& [token, response] : image.remove_cache) {
+    size += 8 + 1 + (response.has_value() ? response->wire_size() : 0);
+  }
+  return size;
+}
+
 std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image) {
+  const std::size_t size = encoded_checkpoint_size(image);
   ByteWriter w;
+  w.reserve(size);
   w.u64(image.epoch);
   w.u64(image.lsn);
   w.u64(image.next_age);
@@ -46,13 +61,10 @@ std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image) {
     w.u8(response.has_value() ? 1 : 0);
     if (response.has_value()) wire::encode_object(w, *response);
   }
-  std::vector<std::uint8_t> body = w.take();
   // Seal the image with the WAL checksum primitive (seeded by the lsn).
-  const std::uint32_t sum = wal_checksum(image.lsn, body.data(), body.size());
-  for (int i = 0; i < 4; ++i) {
-    body.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
-  }
-  return body;
+  w.u32(wal_checksum(image.lsn, w.bytes().data(), w.size()));
+  PASO_REQUIRE(w.size() == size, "checkpoint size precomputed wrong");
+  return w.take();
 }
 
 std::optional<CheckpointImage> decode_checkpoint(

@@ -13,6 +13,7 @@
 // damaged checkpoint is detected and discarded rather than installed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -38,6 +39,10 @@ struct CheckpointImage {
 /// Encoding is signature-free (value types are implied by the object, as in
 /// the wire codec); decoding needs the class signature to re-type fields.
 std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image);
+
+/// The exact length encode_checkpoint produces, computed from the declared
+/// wire sizes without encoding: the encoder sizes its buffer with it once.
+std::size_t encoded_checkpoint_size(const CheckpointImage& image);
 
 /// nullopt when the buffer fails its checksum or structural validation —
 /// the caller falls back to log-only or full-transfer recovery.

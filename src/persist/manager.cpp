@@ -166,23 +166,21 @@ std::optional<RecoveredClass> PersistenceManager::recover(ClassId cls) {
   }
 
   out.cost += disk_.read(log_file(cls), bytes);
-  WalScan scan = scan_log(bytes);
   // Contiguity: replaying record lsn=k onto state at lsn=k-1 is the only
   // sound application. A gap (e.g. a lost-fsync hole) invalidates the
-  // records past it even if their checksums hold.
+  // records past it even if their checksums hold, so the walk stops there
+  // as it does at a torn or corrupt record.
   std::uint64_t expect = base_lsn + 1;
-  std::size_t keep_bytes = 0;
   std::vector<WalRecord> tail;
-  for (WalRecord& record : scan.records) {
-    if (record.lsn != expect) {
-      scan.corrupt = true;
-      break;
-    }
-    keep_bytes += kWalFrameBytes + record.payload.size();
-    tail.push_back(std::move(record));
-    ++expect;
-  }
-  if (scan.corrupt || keep_bytes < bytes.size()) {
+  const std::size_t keep_bytes = for_each_record(
+      bytes, [&](std::uint64_t lsn, const std::uint8_t* payload,
+                 std::size_t size) {
+        if (lsn != expect) return false;
+        tail.push_back({lsn, {payload, payload + size}});
+        ++expect;
+        return true;
+      });
+  if (keep_bytes < bytes.size()) {
     out.corruption_detected = true;
     ++stats_.corruptions_detected;
     stats_.truncated_bytes += bytes.size() - keep_bytes;
@@ -239,18 +237,25 @@ std::optional<std::vector<WalRecord>> PersistenceManager::capture_suffix(
   std::vector<std::uint8_t> bytes;
   const Cost read_cost = disk_.read(log_file(cls), bytes);
   if (cost != nullptr) *cost += read_cost;
-  const WalScan scan = scan_log(bytes);
   // Validate end to end: contiguous from the log base through our durable
   // lsn. Any damage (an injected fault we have not noticed yet) disqualifies
-  // the delta; the caller falls back to a full transfer.
+  // the delta; the caller falls back to a full transfer. Only the records
+  // past the joiner's position are copied out.
   std::uint64_t expect = d.checkpoint_lsn + 1;
+  bool contiguous = true;
   std::vector<WalRecord> suffix;
-  for (const WalRecord& record : scan.records) {
-    if (record.lsn != expect) break;
-    if (record.lsn > after_lsn) suffix.push_back(record);
-    ++expect;
-  }
-  if (scan.corrupt || expect != d.durable_lsn + 1) {
+  const std::size_t valid_bytes = for_each_record(
+      bytes, [&](std::uint64_t lsn, const std::uint8_t* payload,
+                 std::size_t size) {
+        contiguous = contiguous && lsn == expect;
+        if (!contiguous) return true;  // refused; still check the rest
+        if (lsn > after_lsn) {
+          suffix.push_back({lsn, {payload, payload + size}});
+        }
+        ++expect;
+        return true;
+      });
+  if (valid_bytes != bytes.size() || expect != d.durable_lsn + 1) {
     ++stats_.delta_refusals;
     count("persist.delta_refusals");
     return std::nullopt;
@@ -294,11 +299,15 @@ std::optional<std::string> PersistenceManager::inject_fault(
       // The last appended record never reached the platter: drop it whole
       // (plus any torn bytes already past it).
       const std::vector<std::uint8_t>* bytes = disk_.peek(file);
-      const WalScan scan = scan_log(*bytes);
-      if (!scan.records.empty()) {
-        const std::size_t last =
-            kWalFrameBytes + scan.records.back().payload.size();
-        did = disk_.chop(file, (bytes->size() - scan.valid_bytes) + last);
+      std::size_t last = 0;
+      const std::size_t valid_bytes = for_each_record(
+          *bytes, [&last](std::uint64_t, const std::uint8_t*,
+                          std::size_t size) {
+            last = kWalFrameBytes + size;
+            return true;
+          });
+      if (last > 0) {
+        did = disk_.chop(file, (bytes->size() - valid_bytes) + last);
         what = "lost fsync (last record) " + label;
       }
       break;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -121,12 +122,95 @@ TEST(WalTest, Crc32cKnownAnswer) {
   const auto* data = reinterpret_cast<const std::uint8_t*>(check.data());
   EXPECT_EQ(crc32c(data, check.size()), 0xE3069283u);
   // Continuing a CRC over a split buffer gives the CRC of the whole, at
-  // every split point (the slice-by-8 body and the byte tail both run).
+  // every split point (the 8-byte body and the byte tail both run).
   for (std::size_t cut = 0; cut <= check.size(); ++cut) {
     EXPECT_EQ(crc32c(data + cut, check.size() - cut, crc32c(data, cut)),
               0xE3069283u)
         << "split at " << cut;
   }
+}
+
+TEST(WalTest, Crc32cRfc3720Vectors) {
+  // RFC 3720 (iSCSI), appendix B.4: CRC-32C test vectors.
+  std::vector<std::uint8_t> zeros(32, 0x00);
+  std::vector<std::uint8_t> ones(32, 0xFF);
+  std::vector<std::uint8_t> up(32);
+  std::vector<std::uint8_t> down(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    up[i] = static_cast<std::uint8_t>(i);
+    down[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  const std::pair<const std::vector<std::uint8_t>*, std::uint32_t> cases[] = {
+      {&zeros, 0x8A9136AAu},
+      {&ones, 0x62A8AB43u},
+      {&up, 0x46DD794Eu},
+      {&down, 0x113FDB5Cu},
+  };
+  for (const auto& [bytes, expected] : cases) {
+    EXPECT_EQ(crc32c(bytes->data(), bytes->size()), expected);
+    EXPECT_EQ(crc32c_portable(bytes->data(), bytes->size()), expected);
+  }
+}
+
+TEST(WalTest, HardwareCrc32cMatchesPortableTables) {
+  if (!crc32c_hardware()) {
+    GTEST_SKIP() << "no CRC instruction on this CPU: crc32c is the portable "
+                    "table path already";
+  }
+  std::mt19937_64 rng(20);
+  std::vector<std::uint8_t> buffer(1024 + 8);
+  for (std::uint8_t& b : buffer) b = static_cast<std::uint8_t>(rng());
+  // Every length at every start offset, so each alignment meets both the
+  // 8-byte body and the byte tail.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::uint8_t* data = buffer.data() + offset;
+    for (std::size_t size = 0; size <= 1024; ++size) {
+      ASSERT_EQ(crc32c(data, size), crc32c_portable(data, size))
+          << "offset " << offset << " size " << size;
+    }
+    // Continuation: a CRC split anywhere, and continued by either path,
+    // is the CRC of the whole.
+    const std::uint32_t whole = crc32c_portable(data, 1024);
+    for (std::size_t cut = 0; cut <= 1024; ++cut) {
+      ASSERT_EQ(crc32c(data + cut, 1024 - cut, crc32c(data, cut)), whole)
+          << "offset " << offset << " split at " << cut;
+      ASSERT_EQ(crc32c(data + cut, 1024 - cut, crc32c_portable(data, cut)),
+                whole)
+          << "offset " << offset << " split at " << cut;
+    }
+  }
+}
+
+TEST(WalTest, RecordEncodingIsPinned) {
+  // The framing is a disk format, so its bytes must never change: length
+  // and CRC-32C of the whole frame, pinned from the slice-by-8 encoder.
+  WalRecord record{0x0102030405060708ull, std::vector<std::uint8_t>(41)};
+  for (std::size_t i = 0; i < record.payload.size(); ++i) {
+    record.payload[i] = static_cast<std::uint8_t>(37 * i + 11);
+  }
+  const auto framed = encode_record(record);
+  EXPECT_EQ(framed.size(), 57u);
+  EXPECT_EQ(crc32c(framed.data(), framed.size()), 0x061049C6u);
+}
+
+TEST(WalTest, VisitorStopsBeforeARejectedRecord) {
+  std::vector<std::uint8_t> log;
+  for (std::uint64_t lsn = 1; lsn <= 3; ++lsn) {
+    const auto framed = encode_record(WalRecord{lsn, {1, 2, 3}});
+    log.insert(log.end(), framed.begin(), framed.end());
+  }
+  std::vector<std::uint64_t> seen;
+  const std::size_t walked = for_each_record(
+      log, [&seen](std::uint64_t lsn, const std::uint8_t* payload,
+                   std::size_t size) {
+        EXPECT_EQ(size, 3u);
+        EXPECT_EQ(payload[2], 3u);
+        if (lsn == 3) return false;
+        seen.push_back(lsn);
+        return true;
+      });
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(walked, 2 * (kWalFrameBytes + 3));
 }
 
 TEST(WalTest, EverySingleByteFlipOfARecordIsDetected) {
@@ -230,6 +314,100 @@ TEST(CheckpointTest, EverySingleByteFlipOfAnImageIsDetected) {
   const auto clean = decode_checkpoint(*disk.peek("ckpt"), signature);
   ASSERT_TRUE(clean.has_value());
   EXPECT_EQ(clean->objects.size(), 3u);
+}
+
+/// An image over a class with every field type, sized by `rng`.
+CheckpointImage random_image(std::mt19937_64& rng, std::size_t objects,
+                             std::size_t identities, std::size_t removes) {
+  const auto random_object = [&rng](std::uint64_t seq) {
+    PasoObject object;
+    object.id = ObjectId{ProcessId{MachineId{std::uint32_t(rng() % 8)}, 0},
+                         seq};
+    object.fields = {Value{std::int64_t(rng())}, Value{double(rng() % 1000)},
+                     Value{std::string(rng() % 40, 'x')},
+                     Value{rng() % 2 == 0}};
+    return object;
+  };
+  CheckpointImage image;
+  image.epoch = rng();
+  image.lsn = rng();
+  image.next_age = objects;
+  for (std::size_t i = 0; i < objects; ++i) {
+    image.objects.push_back(
+        {i, std::make_shared<const PasoObject>(random_object(i))});
+  }
+  for (std::size_t i = 0; i < identities; ++i) {
+    image.applied_inserts.push_back(
+        ObjectId{ProcessId{MachineId{std::uint32_t(rng())}, 1}, rng()});
+  }
+  for (std::size_t i = 0; i < removes; ++i) {
+    SearchResponse response;
+    if (rng() % 2 == 0) response = random_object(1000 + i);
+    image.remove_cache.emplace_back(rng(), std::move(response));
+  }
+  return image;
+}
+
+TEST(CheckpointTest, EncodedSizeIsPrecomputedExactly) {
+  const Schema schema({ClassSpec{
+      "mixed",
+      {FieldType::kInt, FieldType::kReal, FieldType::kText, FieldType::kBool},
+      0,
+      1}});
+  const auto signature = schema.specs()[0].signature;
+  std::mt19937_64 rng(7);
+  struct Shape {
+    std::size_t objects, identities, removes;
+  };
+  const Shape shapes[] = {
+      {0, 0, 0},     // empty
+      {25, 0, 0},    // objects only
+      {0, 0, 12},    // remove-cache entries, with and without a response
+      {0, 4000, 0},  // thousands of identities
+      {300, 3000, 40},
+  };
+  for (const Shape& shape : shapes) {
+    for (int trial = 0; trial < 5; ++trial) {
+      const CheckpointImage image =
+          random_image(rng, shape.objects, shape.identities, shape.removes);
+      const auto bytes = encode_checkpoint(image);
+      EXPECT_EQ(bytes.size(), encoded_checkpoint_size(image));
+      const auto decoded = decode_checkpoint(bytes, signature);
+      ASSERT_TRUE(decoded.has_value());
+      EXPECT_EQ(decoded->objects.size(), shape.objects);
+      EXPECT_EQ(decoded->applied_inserts, image.applied_inserts);
+      EXPECT_EQ(decoded->remove_cache, image.remove_cache);
+    }
+  }
+  // Header (3 × u64), three u32 counts and the u32 seal.
+  EXPECT_EQ(encoded_checkpoint_size(CheckpointImage{}), 40u);
+}
+
+TEST(CheckpointTest, EncodingIsPinned) {
+  // A checkpoint image is a disk format, so its bytes must never change:
+  // length and CRC-32C of the whole image, pinned from the slice-by-8
+  // encoder.
+  CheckpointImage image;
+  image.epoch = 9;
+  image.lsn = 0x0123456789ABCDEFull;
+  image.next_age = 31;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    PasoObject object;
+    object.id = ObjectId{ProcessId{MachineId{3}, 1}, 1000 + i};
+    object.fields = {Value{std::int64_t(i * 1000) - 7},
+                     Value{std::string(i * 5, char('a' + i))}};
+    image.objects.push_back({2 * i, std::make_shared<const PasoObject>(object)});
+    image.applied_inserts.push_back(object.id);
+  }
+  image.applied_inserts.push_back(ObjectId{ProcessId{MachineId{7}, 2}, ~0ull});
+  image.remove_cache.emplace_back(77, std::nullopt);
+  PasoObject removed;
+  removed.id = ObjectId{ProcessId{MachineId{4}, 0}, 5};
+  removed.fields = {Value{std::int64_t(-1)}, Value{std::string("gone")}};
+  image.remove_cache.emplace_back(78, SearchResponse{removed});
+  const auto bytes = encode_checkpoint(image);
+  EXPECT_EQ(bytes.size(), 344u);
+  EXPECT_EQ(crc32c(bytes.data(), bytes.size()), 0xA0C4DE80u);
 }
 
 // --- PersistenceManager ------------------------------------------------------
