@@ -94,19 +94,33 @@ void MemoryServer::maybe_checkpoint(ClassId cls, ClassState& state,
 }
 
 persist::CheckpointImage MemoryServer::checkpoint_image(
-    ClassState& state) const {
+    const ClassState& state) const {
   persist::CheckpointImage image;
   image.lsn = state.lsn;
   image.next_age = state.next_age;
   image.objects = state.store->snapshot();
   // Apply order is replica-consistent, so replicas with equal state encode
   // byte-identical images without sorting.
-  image.applied_inserts = state.applied_inserts.keys();
+  image.applied_inserts = state.applied_inserts;
   image.remove_cache.reserve(state.remove_cache_order.size());
   for (const std::uint64_t token : state.remove_cache_order) {
     image.remove_cache.emplace_back(token, state.remove_cache.at(token));
   }
   return image;
+}
+
+void MemoryServer::install_image(ClassState& state,
+                                 const persist::CheckpointImage& image) {
+  state.store->load(image.objects);
+  state.next_age = image.next_age;
+  state.lsn = image.lsn;
+  state.applied_inserts = image.applied_inserts;
+  state.remove_cache.clear();
+  state.remove_cache_order.clear();
+  for (const auto& [token, response] : image.remove_cache) {
+    state.remove_cache.emplace(token, response);
+    state.remove_cache_order.push_back(token);
+  }
 }
 
 vsync::GcastResult MemoryServer::handle_gcast(const GroupName& group,
@@ -122,49 +136,39 @@ vsync::GcastResult MemoryServer::handle_gcast(const GroupName& group,
   const std::uint64_t probes_before =
       metrics != nullptr ? state.store->match_probes() : 0;
 
-  if (const auto* store_msg = std::get_if<StoreMsg>(message)) {
-    if (metrics != nullptr) metrics->stores->inc();
-    apply_store(*cls, state, *store_msg, result.processing);
-    // store(o) expects no response payload: the gathered response is empty.
-    result.response = std::any{};
-    result.response_bytes = 0;
-  } else if (const auto* read_msg = std::get_if<MemReadMsg>(message)) {
-    if (metrics != nullptr) metrics->reads->inc();
-    SearchResponse response = apply_read(state, *read_msg, result.processing);
+  const auto read = [&](const SearchCriterion& sc) {
+    result.processing += state.store->query_cost();
+    return state.store->find(sc);
+  };
+  // One store, mem-read or remove, lone or inside a batch: a batched op is
+  // byte-for-byte the same state transition as an unbatched one. A store's
+  // slot is empty.
+  const auto apply_one = [&](const auto& op) -> SearchResponse {
+    using Op = std::decay_t<decltype(op)>;
+    if constexpr (std::is_same_v<Op, StoreMsg>) {
+      if (metrics != nullptr) metrics->stores->inc();
+      apply_store(*cls, state, op, result.processing);
+      return std::nullopt;
+    } else if constexpr (std::is_same_v<Op, MemReadMsg>) {
+      if (metrics != nullptr) metrics->reads->inc();
+      return read(op.criterion);
+    } else {
+      static_assert(std::is_same_v<Op, RemoveMsg>);
+      if (metrics != nullptr) metrics->removes->inc();
+      return apply_remove(*cls, state, op, result.processing);
+    }
+  };
+  const auto respond = [&result](SearchResponse response) {
     result.response_bytes = response_wire_size(response);
     result.response = std::move(response);
-  } else if (const auto* remove_msg = std::get_if<RemoveMsg>(message)) {
-    if (metrics != nullptr) metrics->removes->inc();
-    SearchResponse response =
-        apply_remove(*cls, state, *remove_msg, result.processing);
-    result.response_bytes = response_wire_size(response);
-    result.response = std::move(response);
-  } else if (const auto* batch_msg = std::get_if<BatchMsg>(message)) {
+  };
+
+  if (const auto* batch_msg = std::get_if<BatchMsg>(message)) {
     // A batch is its member operations applied in order, sharing one gcast.
-    // Each op runs through the same apply helper a lone message would, so
-    // dedup, token replay and marker firing are identical per op.
     BatchResponse response;
     response.slots.reserve(batch_msg->ops.size());
     for (const BatchableOp& op : batch_msg->ops) {
-      std::visit(
-          [&](const auto& sub) {
-            using S = std::decay_t<decltype(sub)>;
-            if constexpr (std::is_same_v<S, StoreMsg>) {
-              if (metrics != nullptr) metrics->stores->inc();
-              apply_store(*cls, state, sub, result.processing);
-              response.slots.emplace_back(std::nullopt);
-            } else if constexpr (std::is_same_v<S, MemReadMsg>) {
-              if (metrics != nullptr) metrics->reads->inc();
-              response.slots.push_back(
-                  apply_read(state, sub, result.processing));
-            } else {
-              static_assert(std::is_same_v<S, RemoveMsg>);
-              if (metrics != nullptr) metrics->removes->inc();
-              response.slots.push_back(
-                  apply_remove(*cls, state, sub, result.processing));
-            }
-          },
-          op);
+      response.slots.push_back(std::visit(apply_one, op));
     }
     result.response_bytes = response.wire_size();
     result.response = std::move(response);
@@ -172,28 +176,17 @@ vsync::GcastResult MemoryServer::handle_gcast(const GroupName& group,
     // Install the marker, then answer the embedded immediate probe: the
     // response doubles as a mem-read so the issuer learns about an object
     // that was already present (no insert will re-announce it).
-    note_op(*cls, state, *message, result.processing);
-    sweep_expired_markers(state);
-    state.markers.push_back(Marker{marker_msg->marker_id, marker_msg->owner,
-                                   marker_msg->criterion,
-                                   marker_msg->expires_at});
-    state.marker_index_dirty = true;
-    schedule_marker_sweep(*cls, marker_msg->expires_at);
-    result.processing += state.store->query_cost();
-    SearchResponse response = state.store->find(marker_msg->criterion);
-    result.response_bytes = response_wire_size(response);
-    result.response = std::move(response);
-  } else if (const auto* cancel_msg = std::get_if<CancelMarkerMsg>(message)) {
-    note_op(*cls, state, *message, result.processing);
-    const std::size_t before = state.markers.size();
-    std::erase_if(state.markers, [cancel_msg](const Marker& m) {
-      return m.marker_id == cancel_msg->marker_id &&
-             m.owner == cancel_msg->owner;
-    });
-    if (state.markers.size() != before) state.marker_index_dirty = true;
-    sweep_expired_markers(state);
-    result.response = std::any{};
-    result.response_bytes = 0;
+    apply_marker_op(*cls, state, *message, result.processing);
+    respond(read(marker_msg->criterion));
+  } else if (std::holds_alternative<CancelMarkerMsg>(*message)) {
+    apply_marker_op(*cls, state, *message, result.processing);
+  } else if (const auto* store_msg = std::get_if<StoreMsg>(message)) {
+    // store(o) expects no response payload: the gathered response is empty.
+    apply_one(*store_msg);
+  } else if (const auto* read_msg = std::get_if<MemReadMsg>(message)) {
+    respond(apply_one(*read_msg));
+  } else {
+    respond(apply_one(std::get<RemoveMsg>(*message)));
   }
   maybe_checkpoint(*cls, state, result.processing);
   if (metrics != nullptr) {
@@ -221,13 +214,6 @@ void MemoryServer::apply_store(ClassId cls, ClassState& state,
   if (apply_mode_ == ApplyMode::kLive && update_hook_) {
     update_hook_(cls, /*is_store=*/true, /*applied=*/true);
   }
-}
-
-SearchResponse MemoryServer::apply_read(ClassState& state,
-                                        const MemReadMsg& msg,
-                                        Cost& processing) {
-  processing += state.store->query_cost();
-  return state.store->find(msg.criterion);
 }
 
 SearchResponse MemoryServer::apply_remove(ClassId cls, ClassState& state,
@@ -258,6 +244,35 @@ SearchResponse MemoryServer::apply_remove(ClassId cls, ClassState& state,
     }
   }
   return response;
+}
+
+void MemoryServer::apply_marker_op(ClassId cls, ClassState& state,
+                                   const ServerMessage& op, Cost& processing) {
+  note_op(cls, state, op, processing);
+  if (const auto* place = std::get_if<PlaceMarkerMsg>(&op)) {
+    sweep_expired_markers(state);
+    state.markers.push_back(Marker{place->marker_id, place->owner,
+                                   place->criterion, place->expires_at});
+    state.marker_index_dirty = true;
+    schedule_marker_sweep(cls, place->expires_at);
+    return;
+  }
+  const auto& cancel = std::get<CancelMarkerMsg>(op);
+  const std::size_t before = state.markers.size();
+  std::erase_if(state.markers, [&cancel](const Marker& m) {
+    return m.marker_id == cancel.marker_id && m.owner == cancel.owner;
+  });
+  if (state.markers.size() != before) state.marker_index_dirty = true;
+  sweep_expired_markers(state);
+}
+
+void MemoryServer::adopt_markers(ClassId cls, ClassState& state,
+                                 const std::vector<Marker>& markers) {
+  state.markers = markers;
+  state.marker_index_dirty = true;
+  for (const Marker& marker : state.markers) {
+    schedule_marker_sweep(cls, marker.expires_at);
+  }
 }
 
 void MemoryServer::rebuild_marker_index(ClassState& state) {
@@ -381,14 +396,8 @@ vsync::StateBlob MemoryServer::capture_state(const GroupName& group) {
   // Don't donate dead markers: the blob (and its byte cost) carries only
   // live ones.
   sweep_expired_markers(state);
-  auto snapshot = std::make_shared<ClassSnapshot>();
-  snapshot->objects = state.store->snapshot();
-  snapshot->next_age = state.next_age;
-  snapshot->lsn = state.lsn;
-  snapshot->markers = state.markers;
-  snapshot->applied_inserts = state.applied_inserts;
-  snapshot->remove_cache = state.remove_cache;
-  snapshot->remove_cache_order = state.remove_cache_order;
+  auto snapshot = std::make_shared<const FullSnapshot>(
+      FullSnapshot{checkpoint_image(state), state.markers});
   vsync::StateBlob blob;
   // Store payload + next_age + the dedup tables (16 bytes per insert
   // identity, 16 per cached remove token): the joiner must refuse the same
@@ -400,7 +409,7 @@ vsync::StateBlob MemoryServer::capture_state(const GroupName& group) {
   // the joiner can seed its own log position. Off, the stamp is free: the
   // disabled configuration must reproduce the baseline byte-for-byte.
   if (persist_ != nullptr && persist_->enabled()) blob.bytes += 8;
-  blob.state = snapshot;
+  blob.state = std::move(snapshot);
   return blob;
 }
 
@@ -409,32 +418,24 @@ void MemoryServer::install_state(const GroupName& group,
   const auto cls = class_of_group(group);
   PASO_REQUIRE(cls.has_value(), "install on unknown group");
   const auto* snapshot =
-      std::any_cast<std::shared_ptr<ClassSnapshot>>(&blob.state);
+      std::any_cast<std::shared_ptr<const FullSnapshot>>(&blob.state);
   PASO_REQUIRE(snapshot != nullptr && *snapshot != nullptr,
                "unexpected state blob");
+  const persist::CheckpointImage& image = (*snapshot)->image;
   ClassState& state = state_of(*cls);
-  state.store->load((*snapshot)->objects);
-  state.next_age = (*snapshot)->next_age;
-  state.lsn = (*snapshot)->lsn;
-  state.markers = (*snapshot)->markers;
-  state.marker_index_dirty = true;
-  // Donated markers need their own expiry sweeps on this replica.
-  for (const Marker& marker : state.markers) {
-    schedule_marker_sweep(*cls, marker.expires_at);
-  }
-  state.applied_inserts = (*snapshot)->applied_inserts;
-  state.remove_cache = (*snapshot)->remove_cache;
-  state.remove_cache_order = (*snapshot)->remove_cache_order;
+  install_image(state, image);
+  adopt_markers(*cls, state, (*snapshot)->markers);
   if (persist_ != nullptr && persist_->enabled()) {
     // A full install abandons whatever state line the old log described;
     // appending past it would leave an lsn gap that poisons every later
-    // replay. Restart durability from a fresh checkpoint of what we got.
-    const Cost cost = persist_->reset_class(*cls, checkpoint_image(state),
-                                            network_.executor().now());
+    // replay. Restart durability from a fresh checkpoint of the image just
+    // installed — the state now is exactly that image.
+    const Cost cost =
+        persist_->reset_class(*cls, image, network_.executor().now());
     network_.ledger().charge_work(self_, cost);
     persist_span("reset", cost);
   }
-  PASO_TRACE("server") << self_ << " installed " << (*snapshot)->objects.size()
+  PASO_TRACE("server") << self_ << " installed " << image.objects.size()
                        << " objects for " << group;
 }
 
@@ -530,38 +531,15 @@ bool MemoryServer::install_delta(const GroupName& group,
   if (it == classes_.end()) return false;
   ClassState& state = it->second;
   if (state.lsn != delta.from_lsn) return false;
-  // Decode every record up front: a corrupt one must fail the install (and
-  // trigger the full-transfer fallback) before any of them mutates state.
-  const auto resolver = [this](ClassId c) { return signature_of(c); };
-  std::vector<ServerMessage> ops;
-  ops.reserve(delta.records.size());
-  try {
-    for (const persist::WalRecord& rec : delta.records) {
-      ops.push_back(wire::decode_message(rec.payload, resolver));
-    }
-  } catch (const InvariantViolation&) {
-    return false;
-  }
   Cost cost = 0;
-  apply_mode_ = ApplyMode::kDeltaInstall;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (delta.records[i].lsn != state.lsn + 1) {
-      apply_mode_ = ApplyMode::kLive;
-      return false;
-    }
-    apply_replayed(*cls, state, ops[i], cost);
-  }
-  apply_mode_ = ApplyMode::kLive;
-  if (state.lsn != delta.to_lsn || state.next_age != delta.next_age) {
+  if (replay(*cls, state, delta.records, ApplyMode::kDeltaInstall, cost) !=
+          delta.records.size() ||
+      state.lsn != delta.to_lsn || state.next_age != delta.next_age) {
     return false;
   }
   // Markers never reach disk, so the donor's live set travels whole and
   // replaces whatever the replayed suffix re-placed.
-  state.markers = delta.markers;
-  state.marker_index_dirty = true;
-  for (const Marker& marker : state.markers) {
-    schedule_marker_sweep(*cls, marker.expires_at);
-  }
+  adopt_markers(*cls, state, delta.markers);
   maybe_checkpoint(*cls, state, cost);
   network_.ledger().charge_work(self_, cost);
   persist_span("delta-install", static_cast<double>(delta.records.size()));
@@ -570,77 +548,60 @@ bool MemoryServer::install_delta(const GroupName& group,
   return true;
 }
 
-void MemoryServer::apply_replayed(ClassId cls, ClassState& state,
-                                  const ServerMessage& op, Cost& processing) {
-  if (const auto* store_msg = std::get_if<StoreMsg>(&op)) {
-    apply_store(cls, state, *store_msg, processing);
-  } else if (const auto* remove_msg = std::get_if<RemoveMsg>(&op)) {
-    apply_remove(cls, state, *remove_msg, processing);
-  } else if (const auto* marker_msg = std::get_if<PlaceMarkerMsg>(&op)) {
-    // Same mutation as the live PlaceMarker branch, minus the probe and the
-    // response — a replay has nobody to answer.
-    note_op(cls, state, op, processing);
-    sweep_expired_markers(state);
-    state.markers.push_back(Marker{marker_msg->marker_id, marker_msg->owner,
-                                   marker_msg->criterion,
-                                   marker_msg->expires_at});
-    state.marker_index_dirty = true;
-    schedule_marker_sweep(cls, marker_msg->expires_at);
-  } else if (const auto* cancel_msg = std::get_if<CancelMarkerMsg>(&op)) {
-    note_op(cls, state, op, processing);
-    const std::size_t before = state.markers.size();
-    std::erase_if(state.markers, [cancel_msg](const Marker& m) {
-      return m.marker_id == cancel_msg->marker_id &&
-             m.owner == cancel_msg->owner;
-    });
-    if (state.markers.size() != before) state.marker_index_dirty = true;
-    sweep_expired_markers(state);
-  } else {
-    // Mem-reads and batches are never logged (reads consume no lsn; batches
-    // log as their member ops), so a WAL can't legitimately contain them.
-    PASO_REQUIRE(false, "unreplayable operation in WAL");
+std::size_t MemoryServer::replay(ClassId cls, ClassState& state,
+                                 const std::vector<persist::WalRecord>& records,
+                                 ApplyMode mode, Cost& work) {
+  // Decode every record up front. A delta install fails whole on a record
+  // the frame checksum missed (triggering the full-transfer fallback) before
+  // any of them mutates state; recovery keeps the prefix before it.
+  const auto resolver = [this](ClassId c) { return signature_of(c); };
+  std::vector<ServerMessage> ops;
+  ops.reserve(records.size());
+  try {
+    for (const persist::WalRecord& rec : records) {
+      ops.push_back(wire::decode_message(rec.payload, resolver));
+    }
+  } catch (const InvariantViolation&) {
+    if (mode == ApplyMode::kDeltaInstall) return 0;
   }
+  apply_mode_ = mode;
+  std::size_t applied = 0;
+  for (; applied < ops.size() && records[applied].lsn == state.lsn + 1;
+       ++applied) {
+    const ServerMessage& op = ops[applied];
+    if (const auto* store_msg = std::get_if<StoreMsg>(&op)) {
+      apply_store(cls, state, *store_msg, work);
+    } else if (const auto* remove_msg = std::get_if<RemoveMsg>(&op)) {
+      apply_remove(cls, state, *remove_msg, work);
+    } else if (std::holds_alternative<PlaceMarkerMsg>(op) ||
+               std::holds_alternative<CancelMarkerMsg>(op)) {
+      // The live mutation, minus the probe: a replay has nobody to answer.
+      apply_marker_op(cls, state, op, work);
+    } else {
+      // Mem-reads and batches are never logged (reads consume no lsn;
+      // batches log as their member ops), so a WAL can't contain them.
+      PASO_REQUIRE(false, "unreplayable operation in WAL");
+    }
+  }
+  apply_mode_ = ApplyMode::kLive;
+  return applied;
 }
 
 Cost MemoryServer::recover_from_disk() {
   if (persist_ == nullptr || !persist_->enabled()) return 0;
   Cost total = 0;
-  const auto resolver = [this](ClassId c) { return signature_of(c); };
   for (const ClassId cls : persist_->durable_classes()) {
     auto recovered = persist_->recover(cls);
     if (!recovered) continue;
     total += recovered->cost;
     ClassState& state = state_of(cls);
-    if (recovered->checkpoint) {
-      const persist::CheckpointImage& ckpt = *recovered->checkpoint;
-      state.store->load(ckpt.objects);
-      state.next_age = ckpt.next_age;
-      state.lsn = ckpt.lsn;
-      state.applied_inserts.assign(ckpt.applied_inserts);
-      state.remove_cache.clear();
-      state.remove_cache_order.clear();
-      for (const auto& [token, response] : ckpt.remove_cache) {
-        state.remove_cache.emplace(token, response);
-        state.remove_cache_order.push_back(token);
-      }
-    }
+    if (recovered->checkpoint) install_image(state, *recovered->checkpoint);
+    // recover() already truncated at the first gap or bad checksum, so
+    // replay stopping early would be a logic error or corruption the frame
+    // checksum missed; either way the prefix stands.
     Cost work = 0;
-    std::size_t applied = 0;
-    apply_mode_ = ApplyMode::kReplay;
-    for (const persist::WalRecord& rec : recovered->tail) {
-      // recover() already truncated at the first gap or bad checksum, so a
-      // mismatch here would be a logic error; stop defensively regardless.
-      if (rec.lsn != state.lsn + 1) break;
-      std::optional<ServerMessage> op;
-      try {
-        op = wire::decode_message(rec.payload, resolver);
-      } catch (const InvariantViolation&) {
-        break;  // corruption the frame checksum missed: keep the prefix
-      }
-      apply_replayed(cls, state, *op, work);
-      ++applied;
-    }
-    apply_mode_ = ApplyMode::kLive;
+    const std::size_t applied =
+        replay(cls, state, recovered->tail, ApplyMode::kReplay, work);
     total += work;
     persist_span("replay", static_cast<double>(applied));
     PASO_TRACE("server") << self_ << " replayed class " << cls.value << ": "

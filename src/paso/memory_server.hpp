@@ -78,7 +78,6 @@ class MemoryServer final : public vsync::GroupEndpoint {
   void set_persistence(persist::PersistenceManager* manager) {
     persist_ = manager;
   }
-  persist::PersistenceManager* persistence() { return persist_; }
 
   /// Rebuild class state from local checkpoint + log after a crash. Returns
   /// the total replay cost (disk reads plus re-apply work), already charged
@@ -98,7 +97,8 @@ class MemoryServer final : public vsync::GroupEndpoint {
   bool supports(ClassId cls) const { return classes_.contains(cls.value); }
   /// |live(C)| at this replica.
   std::size_t live_count(ClassId cls) const;
-  /// g(l): the state-transfer payload size for the class.
+  /// The store part of the class's state-transfer blob (16-byte header; per
+  /// live object its wire size and an 8-byte age), not the whole blob.
   std::size_t class_state_bytes(ClassId cls) const;
 
   /// Total objects across all supported classes (diagnostics).
@@ -181,18 +181,14 @@ class MemoryServer final : public vsync::GroupEndpoint {
     std::unordered_map<std::uint64_t, SearchResponse> remove_cache;
     std::deque<std::uint64_t> remove_cache_order;
   };
-  /// What travels in a state-transfer blob. The dedup state rides along:
-  /// a joiner must refuse the same duplicates its donor would. The objects
-  /// are shared with the donor's store, and the joiner's store shares them
-  /// in turn: a transfer copies no tuple.
-  struct ClassSnapshot {
-    std::vector<storage::StoredObject> objects;
-    std::uint64_t next_age = 0;
-    std::uint64_t lsn = 0;
+  /// A full state-transfer blob: the donor's class image — the same value
+  /// a checkpoint seals, dedup tables included, since a joiner must refuse
+  /// the same duplicates its donor would — plus the donor's live markers,
+  /// which never reach disk. The objects are shared with the donor's store,
+  /// and the joiner's store shares them in turn: a transfer copies no tuple.
+  struct FullSnapshot {
+    persist::CheckpointImage image;
     std::vector<Marker> markers;
-    AppendSet<ObjectId> applied_inserts;
-    std::unordered_map<std::uint64_t, SearchResponse> remove_cache;
-    std::deque<std::uint64_t> remove_cache_order;
   };
   /// A delta state-transfer blob: the donor's log suffix past the joiner's
   /// durable position, plus the donor's live markers (transient state that
@@ -229,11 +225,19 @@ class MemoryServer final : public vsync::GroupEndpoint {
   template <typename Message>
   void note_op(ClassId cls, ClassState& state, const Message& op,
                Cost& processing);
-  /// Apply one WAL-recorded operation during replay or delta install.
-  void apply_replayed(ClassId cls, ClassState& state, const ServerMessage& op,
-                      Cost& processing);
-  /// Snapshot the class's current in-memory state as a checkpoint image.
-  persist::CheckpointImage checkpoint_image(ClassState& state) const;
+  /// Apply WAL records in `mode` from the class's lsn on: recovery's log
+  /// tail and a delta install's donor suffix. Stops at the first record
+  /// that does not decode or does not follow the lsn; returns how many it
+  /// applied (none, in a delta install, if any record fails to decode).
+  std::size_t replay(ClassId cls, ClassState& state,
+                     const std::vector<persist::WalRecord>& records,
+                     ApplyMode mode, Cost& work);
+  /// Snapshot the class's current in-memory state as its image: what a
+  /// checkpoint seals and a full state transfer ships.
+  persist::CheckpointImage checkpoint_image(const ClassState& state) const;
+  /// Replace the class's state with an image — store, ages, lsn and both
+  /// dedup tables. Full install and recovery both come through here.
+  void install_image(ClassState& state, const persist::CheckpointImage& image);
   /// Run the checkpoint policy (bytes-since-last / age) for the class,
   /// folding any checkpoint's disk cost into `processing`.
   void maybe_checkpoint(ClassId cls, ClassState& state, Cost& processing);
@@ -242,16 +246,22 @@ class MemoryServer final : public vsync::GroupEndpoint {
   /// Record a kPersist span against the active trace context.
   void persist_span(const char* what, double value);
 
-  // Per-operation apply helpers: one replicated operation against one class,
-  // accumulating server time into `processing`. handle_gcast dispatches lone
-  // messages straight to these; a BatchMsg loops over them, so a batched op
-  // is byte-for-byte the same state transition as an unbatched one.
+  // Per-operation apply helpers: one replicated update against one class,
+  // accumulating server time into `processing`. Lone, batched and replayed
+  // ops all come through these, so each is the same state transition.
   void apply_store(ClassId cls, ClassState& state, const StoreMsg& msg,
                    Cost& processing);
-  SearchResponse apply_read(ClassState& state, const MemReadMsg& msg,
-                            Cost& processing);
   SearchResponse apply_remove(ClassId cls, ClassState& state,
                               const RemoveMsg& msg, Cost& processing);
+
+  /// Place or cancel a marker (a PlaceMarkerMsg or CancelMarkerMsg): the
+  /// same mutation live and in replay. Live placement answers its embedded
+  /// probe on top.
+  void apply_marker_op(ClassId cls, ClassState& state, const ServerMessage& op,
+                       Cost& processing);
+  /// Take over a donor's live markers, with their own expiry sweeps here.
+  void adopt_markers(ClassId cls, ClassState& state,
+                     const std::vector<Marker>& markers);
 
   void fire_markers(ClassState& state, const PasoObject& object);
   void rebuild_marker_index(ClassState& state);

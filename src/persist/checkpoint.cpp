@@ -41,11 +41,12 @@ std::size_t encoded_checkpoint_size(const CheckpointImage& image) {
   return size;
 }
 
-std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image) {
+std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image,
+                                            std::uint64_t epoch) {
   const std::size_t size = encoded_checkpoint_size(image);
   ByteWriter w;
   w.reserve(size);
-  w.u64(image.epoch);
+  w.u64(epoch);
   w.u64(image.lsn);
   w.u64(image.next_age);
   w.u32(static_cast<std::uint32_t>(image.objects.size()));
@@ -54,7 +55,7 @@ std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image) {
     wire::encode_object(w, *stored.object);
   }
   w.u32(static_cast<std::uint32_t>(image.applied_inserts.size()));
-  for (const ObjectId& id : image.applied_inserts) encode_id(w, id);
+  for (const ObjectId& id : image.applied_inserts.keys()) encode_id(w, id);
   w.u32(static_cast<std::uint32_t>(image.remove_cache.size()));
   for (const auto& [token, response] : image.remove_cache) {
     w.u64(token);
@@ -69,7 +70,7 @@ std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image) {
 
 std::optional<CheckpointImage> decode_checkpoint(
     const std::vector<std::uint8_t>& bytes,
-    const std::vector<FieldType>& signature) {
+    const std::vector<FieldType>& signature, std::uint64_t* epoch) {
   // The image is checked and decoded where it lies: the body is every byte
   // before the 4-byte seal.
   if (bytes.size() < 4) return std::nullopt;
@@ -88,7 +89,7 @@ std::optional<CheckpointImage> decode_checkpoint(
   try {
     ByteReader r(body);
     CheckpointImage image;
-    image.epoch = r.u64();
+    const std::uint64_t sealed_epoch = r.u64();
     image.lsn = r.u64();
     image.next_age = r.u64();
     const std::uint32_t objects = r.u32();
@@ -100,11 +101,11 @@ std::optional<CheckpointImage> decode_checkpoint(
           wire::decode_object(r, signature));
       image.objects.push_back(std::move(stored_obj));
     }
-    const std::uint32_t inserts = r.u32();
-    image.applied_inserts.reserve(inserts);
-    for (std::uint32_t i = 0; i < inserts; ++i) {
-      image.applied_inserts.push_back(decode_id(r));
-    }
+    const std::uint32_t count = r.u32();
+    std::vector<ObjectId> inserts;
+    inserts.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) inserts.push_back(decode_id(r));
+    image.applied_inserts.assign(inserts);
     const std::uint32_t removes = r.u32();
     image.remove_cache.reserve(removes);
     for (std::uint32_t i = 0; i < removes; ++i) {
@@ -114,6 +115,7 @@ std::optional<CheckpointImage> decode_checkpoint(
       image.remove_cache.emplace_back(token, std::move(response));
     }
     if (!r.exhausted()) return std::nullopt;
+    if (epoch != nullptr) *epoch = sealed_epoch;
     return image;
   } catch (const InvariantViolation&) {
     // Checksum passed but the structure decodes past the end — treat as

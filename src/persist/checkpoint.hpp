@@ -1,12 +1,13 @@
-// Checkpoint images: a class replica's durable snapshot.
+// Checkpoint images: a class replica's one image of its state.
 //
-// A checkpoint captures everything a replica needs to rebuild its in-memory
+// An image captures everything a replica needs to rebuild its in-memory
 // class state up to a known LSN — the stored objects with their
 // replica-consistent ages, plus the idempotence tables (applied insert
-// identities, cached remove decisions) that a state-transfer blob also
-// carries. Read markers are deliberately absent: they are transient
-// (expiring, owner-notifying) state whose authoritative copy rides in the
-// live transfer from a donor, never in cold storage.
+// identities, cached remove decisions). A checkpoint seals it to disk, and
+// a full state-transfer blob is the image plus the donor's live read
+// markers. Markers are deliberately absent from the image: they are
+// transient (expiring, owner-notifying) state whose authoritative copy rides
+// in the live transfer from a donor, never in cold storage.
 //
 // The encoding is schema-directed like the wire codec (the class signature
 // fixes field types) and ends with a checksum over the whole image, so a
@@ -18,6 +19,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/append_set.hpp"
 #include "paso/messages.hpp"
 #include "paso/object.hpp"
 #include "storage/object_store.hpp"
@@ -25,29 +27,32 @@
 namespace paso::persist {
 
 struct CheckpointImage {
-  std::uint64_t epoch = 0;  ///< checkpoint generation (monotonic per class)
-  std::uint64_t lsn = 0;    ///< last operation the image covers
+  std::uint64_t lsn = 0;  ///< last operation the image covers
   std::uint64_t next_age = 0;
   /// In age order. A captured image shares the store's objects; encoding
   /// it writes them out without copying them first.
   std::vector<storage::StoredObject> objects;
-  /// Idempotence tables, in deterministic (apply / eviction) order.
-  std::vector<ObjectId> applied_inserts;
+  /// Idempotence tables, in deterministic (apply / eviction) order. The
+  /// insert set travels with its index, so an install copies it whole.
+  AppendSet<ObjectId> applied_inserts;
   std::vector<std::pair<std::uint64_t, SearchResponse>> remove_cache;
 };
 
-/// Encoding is signature-free (value types are implied by the object, as in
-/// the wire codec); decoding needs the class signature to re-type fields.
-std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image);
+/// Seals the image under checkpoint generation `epoch` (monotonic per
+/// class). Encoding is signature-free (value types are implied by the
+/// object, as in the wire codec); decoding needs the class signature.
+std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image,
+                                            std::uint64_t epoch);
 
 /// The exact length encode_checkpoint produces, computed from the declared
 /// wire sizes without encoding: the encoder sizes its buffer with it once.
 std::size_t encoded_checkpoint_size(const CheckpointImage& image);
 
 /// nullopt when the buffer fails its checksum or structural validation —
-/// the caller falls back to log-only or full-transfer recovery.
+/// the caller falls back to log-only or full-transfer recovery. `epoch`,
+/// when given, receives the generation the image was sealed under.
 std::optional<CheckpointImage> decode_checkpoint(
     const std::vector<std::uint8_t>& bytes,
-    const std::vector<FieldType>& signature);
+    const std::vector<FieldType>& signature, std::uint64_t* epoch = nullptr);
 
 }  // namespace paso::persist

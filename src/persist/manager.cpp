@@ -73,12 +73,12 @@ bool PersistenceManager::checkpoint_due(ClassId cls, sim::SimTime now) const {
   return now - last >= config_.checkpoint_interval;
 }
 
-Cost PersistenceManager::write_checkpoint(ClassId cls, CheckpointImage image,
+Cost PersistenceManager::write_checkpoint(ClassId cls,
+                                          const CheckpointImage& image,
                                           sim::SimTime now) {
   if (!config_.enabled) return 0;
   ClassDurable& d = durable(cls);
-  image.epoch = ++d.epoch;
-  const std::vector<std::uint8_t> bytes = encode_checkpoint(image);
+  const std::vector<std::uint8_t> bytes = encode_checkpoint(image, ++d.epoch);
   Cost cost = disk_.overwrite(ckpt_file(cls), bytes);
   ++stats_.checkpoints;
   stats_.checkpoint_bytes += bytes.size();
@@ -100,7 +100,8 @@ Cost PersistenceManager::write_checkpoint(ClassId cls, CheckpointImage image,
   return cost;
 }
 
-Cost PersistenceManager::reset_class(ClassId cls, CheckpointImage image,
+Cost PersistenceManager::reset_class(ClassId cls,
+                                     const CheckpointImage& image,
                                      sim::SimTime now) {
   if (!config_.enabled) return 0;
   // Drop the old log unconditionally: it describes a state line this
@@ -109,7 +110,7 @@ Cost PersistenceManager::reset_class(ClassId cls, CheckpointImage image,
   disk_.remove(log_file(cls));
   ClassDurable& d = durable(cls);
   d.durable_lsn = image.lsn;
-  cost += write_checkpoint(cls, std::move(image), now);
+  cost += write_checkpoint(cls, image, now);
   ++stats_.resets;
   count("persist.resets");
   return cost;
@@ -145,8 +146,9 @@ std::optional<RecoveredClass> PersistenceManager::recover(ClassId cls) {
   std::vector<std::uint8_t> bytes;
   out.cost += disk_.read(ckpt_file(cls), bytes);
   std::uint64_t base_lsn = 0;
+  std::uint64_t epoch = 0;
   if (!bytes.empty()) {
-    out.checkpoint = decode_checkpoint(bytes, signature_of(cls));
+    out.checkpoint = decode_checkpoint(bytes, signature_of(cls), &epoch);
     if (out.checkpoint.has_value()) {
       base_lsn = out.checkpoint->lsn;
     } else {
@@ -197,7 +199,7 @@ std::optional<RecoveredClass> PersistenceManager::recover(ClassId cls) {
   if (!out.checkpoint.has_value() && out.tail.empty()) return std::nullopt;
 
   ClassDurable& d = durable(cls);
-  d.epoch = out.checkpoint.has_value() ? out.checkpoint->epoch : 0;
+  d.epoch = epoch;
   d.checkpoint_lsn = base_lsn;
   d.durable_lsn = out.tail.empty() ? base_lsn : out.tail.back().lsn;
   return out;

@@ -120,13 +120,17 @@ class PersistenceManager {
   /// Whether the checkpoint policy (bytes-since-last or age) has tripped.
   bool checkpoint_due(ClassId cls, sim::SimTime now) const;
 
-  /// Write a checkpoint image and compact the log behind it.
-  Cost write_checkpoint(ClassId cls, CheckpointImage image, sim::SimTime now);
+  /// Seal a checkpoint image under the class's next epoch and compact the
+  /// log behind it. The image is only read (a full install seals the one
+  /// it received).
+  Cost write_checkpoint(ClassId cls, const CheckpointImage& image,
+                        sim::SimTime now);
 
   /// Full-transfer install: the in-memory state was just replaced wholesale,
   /// so the old log no longer describes it. Writes a fresh checkpoint and
   /// truncates the log to empty.
-  Cost reset_class(ClassId cls, CheckpointImage image, sim::SimTime now);
+  Cost reset_class(ClassId cls, const CheckpointImage& image,
+                   sim::SimTime now);
 
   /// Voluntary leave: erase the class's durable files (the paper's "servers
   /// should erase all information when leaving a group", extended to disk).

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -342,13 +343,16 @@ TEST(PersistRecoveryTest, DisabledSubsystemDoesNoDiskIO) {
   expect_axioms_hold(cluster);
 }
 
-// The applied-insert identities that a checkpoint writes must be the same
-// sequence on every replica at the same lsn, however the replica got its
-// state: live delivery, a full install, crash recovery from a checkpoint
-// plus a WAL tail, or a delta install. Identities arrive out of their
-// sorted order, so a replica that wrote them in some history-dependent
-// order would disagree. Every path must also keep refusing the store of an
-// object that was stored and then removed.
+// The dedup tables that a checkpoint writes must be the same on every
+// replica at the same lsn, however the replica got its state: live
+// delivery, a full install, crash recovery from a checkpoint plus a WAL
+// tail, or a delta install. Identities arrive out of their sorted order, so
+// a replica that wrote them in some history-dependent order would disagree;
+// the remove cache must agree in contents and in eviction order, although a
+// full install carries it as ordered pairs and rebuilds its map and queue.
+// Every path must also keep refusing the store of an object that was stored
+// and then removed, and replay a cached remove instead of applying it. The
+// full joiner's reset checkpoint seals exactly the donor's image.
 TEST(PersistRecoveryTest, DedupOrderAgreesAcrossInstallPaths) {
   const Schema schema = task_schema();
   const ClassId cls{0};
@@ -391,9 +395,16 @@ TEST(PersistRecoveryTest, DedupOrderAgreesAcrossInstallPaths) {
   const auto store = [&](std::int64_t key) {
     return ServerMessage{StoreMsg{cls, object(key)}};
   };
-  const auto remove = [&](std::int64_t key) {
+  const auto remove = [&](std::int64_t key, std::uint64_t token = 0) {
     return ServerMessage{
-        RemoveMsg{cls, criterion(Exact{Value{key}}, AnyField{})}};
+        RemoveMsg{cls, criterion(Exact{Value{key}}, AnyField{}), token}};
+  };
+  const auto decode_ckpt = [&](std::size_t m) {
+    const auto* bytes = disks[m]->disk().peek("c0.ckpt");
+    EXPECT_NE(bytes, nullptr) << "replica " << m;
+    return bytes == nullptr ? std::nullopt
+                            : persist::decode_checkpoint(
+                                  *bytes, schema.specs()[0].signature);
   };
 
   // Phase A reaches every replica but the full joiner; the replica that
@@ -401,17 +412,27 @@ TEST(PersistRecoveryTest, DedupOrderAgreesAcrossInstallPaths) {
   const std::vector<MemoryServer*> phase_a = {&donor, &recovered, &delta};
   for (std::int64_t key = 0; key < 40; ++key) deliver(phase_a, store(key));
   for (std::int64_t key = 0; key < 40; key += 7) deliver(phase_a, remove(key));
+  // Token-carrying removes, hits and misses alike, on either side of the
+  // recovering replica's checkpoint.
+  deliver(phase_a, remove(10, 503));
+  deliver(phase_a, remove(999, 501));
+  deliver(phase_a, remove(3, 502));
   ASSERT_GT(recovered.checkpoint_class(cls), 0);
   for (std::int64_t key = 40; key < 60; ++key) deliver(phase_a, store(key));
   deliver(phase_a, remove(45));
+  deliver(phase_a, remove(41, 504));
 
   // The delta replica goes down and misses phase B.
   delta.crash_reset();
   const std::vector<MemoryServer*> phase_b = {&donor, &recovered};
   for (std::int64_t key = 60; key < 75; ++key) deliver(phase_b, store(key));
   deliver(phase_b, remove(61));
+  deliver(phase_b, remove(998, 506));
+  deliver(phase_b, remove(62, 505));
 
   full.install_state(group, donor.capture_state(group));
+  const auto reset = decode_ckpt(1);
+  ASSERT_TRUE(reset.has_value());
   recovered.crash_reset();
   recovered.recover_from_disk();
   ASSERT_GT(disks[2]->stats().replayed_records, 0u);
@@ -421,43 +442,66 @@ TEST(PersistRecoveryTest, DedupOrderAgreesAcrossInstallPaths) {
   ASSERT_TRUE(suffix.has_value());
   ASSERT_TRUE(delta.install_delta(group, *suffix));
 
-  // Every path refuses a store whose object was stored and then removed.
+  // The full joiner's reset checkpoint is the donor's image at the same
+  // lsn: sealed under another epoch, equal in every other byte.
+  ASSERT_GT(donor.checkpoint_class(cls), 0);
+  const auto donor_image = decode_ckpt(0);
+  ASSERT_TRUE(donor_image.has_value());
+  EXPECT_EQ(reset->lsn, donor_image->lsn);
+  EXPECT_EQ(persist::encode_checkpoint(*reset, /*epoch=*/0),
+            persist::encode_checkpoint(*donor_image, /*epoch=*/0));
+
+  // Every path refuses a store whose object was stored and then removed,
+  // and answers a cached remove token from its cache.
   const std::vector<MemoryServer*> all = {&donor, &full, &recovered, &delta};
-  const auto expect_refused = [&](std::int64_t key, const char* when) {
+  const auto expect_refused = [&](const ServerMessage& msg, const char* when) {
     for (std::size_t m = 0; m < all.size(); ++m) {
       const std::uint64_t refused = all[m]->duplicates_refused();
       const std::size_t live = all[m]->live_count(cls);
-      deliver({all[m]}, store(key));
+      deliver({all[m]}, msg);
       EXPECT_EQ(all[m]->duplicates_refused(), refused + 1)
           << "replica " << m << " " << when;
       EXPECT_EQ(all[m]->live_count(cls), live)
-          << "replica " << m << " resurrected a removed object " << when;
+          << "replica " << m << " changed its live set " << when;
     }
   };
-  expect_refused(14, "after its install path");
+  expect_refused(store(14), "after its install path");
+  expect_refused(remove(11, 502), "after its install path");
 
   // Phase C reaches everyone.
   for (std::int64_t key = 75; key < 90; ++key) deliver(all, store(key));
   deliver(all, remove(80));
-  expect_refused(80, "after further ops");
+  deliver(all, remove(85, 507));
+  expect_refused(store(80), "after further ops");
+  expect_refused(remove(86, 505), "after further ops");
 
   std::vector<persist::CheckpointImage> images;
   for (std::size_t m = 0; m < all.size(); ++m) {
     ASSERT_GT(all[m]->checkpoint_class(cls), 0);
-    const auto* bytes = disks[m]->disk().peek("c0.ckpt");
-    ASSERT_NE(bytes, nullptr) << "replica " << m;
-    auto image =
-        persist::decode_checkpoint(*bytes, schema.specs()[0].signature);
+    auto image = decode_ckpt(m);
     ASSERT_TRUE(image.has_value()) << "replica " << m;
     images.push_back(std::move(*image));
   }
-  // 90 identities stored, none twice.
+  // 90 identities stored, none twice; seven remove tokens cached, in
+  // delivery order (the order they are evicted in).
   EXPECT_EQ(images[0].applied_inserts.size(), 90u);
+  std::vector<std::uint64_t> tokens;
+  for (const auto& [token, response] : images[0].remove_cache) {
+    tokens.push_back(token);
+  }
+  EXPECT_EQ(tokens, (std::vector<std::uint64_t>{503, 501, 502, 504, 506, 505,
+                                                507}));
+  EXPECT_FALSE(images[0].remove_cache[1].second.has_value());  // a miss
+  ASSERT_TRUE(images[0].remove_cache[2].second.has_value());
+  EXPECT_TRUE(images[0].remove_cache[2].second->fields == task(3));
   for (std::size_t m = 1; m < images.size(); ++m) {
     EXPECT_EQ(images[m].lsn, images[0].lsn) << "replica " << m;
     EXPECT_EQ(images[m].next_age, images[0].next_age) << "replica " << m;
-    EXPECT_EQ(images[m].applied_inserts, images[0].applied_inserts)
+    EXPECT_EQ(images[m].applied_inserts.keys(),
+              images[0].applied_inserts.keys())
         << "replica " << m << " wrote its identities in another order";
+    EXPECT_EQ(images[m].remove_cache, images[0].remove_cache)
+        << "replica " << m << " holds another remove cache or order";
   }
 }
 

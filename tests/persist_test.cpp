@@ -240,7 +240,6 @@ TEST(CheckpointTest, RoundTripsImage) {
   const Schema schema = task_schema();
   const auto signature = schema.specs()[0].signature;
   CheckpointImage image;
-  image.epoch = 3;
   image.lsn = 41;
   image.next_age = 7;
   for (std::uint64_t i = 0; i < 5; ++i) {
@@ -248,7 +247,7 @@ TEST(CheckpointTest, RoundTripsImage) {
     object.id = ObjectId{ProcessId{MachineId{1}, 0}, i};
     object.fields = {Value{std::int64_t(i)}, Value{std::string("v")}};
     image.objects.push_back({i, std::make_shared<const PasoObject>(object)});
-    image.applied_inserts.push_back(object.id);
+    image.applied_inserts.insert(object.id);
   }
   image.remove_cache.emplace_back(99, std::nullopt);
   PasoObject removed;
@@ -256,16 +255,17 @@ TEST(CheckpointTest, RoundTripsImage) {
   removed.fields = {Value{std::int64_t(50)}, Value{std::string("gone")}};
   image.remove_cache.emplace_back(100, SearchResponse{removed});
 
-  const auto bytes = encode_checkpoint(image);
-  const auto decoded = decode_checkpoint(bytes, signature);
+  const auto bytes = encode_checkpoint(image, /*epoch=*/3);
+  std::uint64_t epoch = 0;
+  const auto decoded = decode_checkpoint(bytes, signature, &epoch);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->epoch, 3u);
+  EXPECT_EQ(epoch, 3u);
   EXPECT_EQ(decoded->lsn, 41u);
   EXPECT_EQ(decoded->next_age, 7u);
   ASSERT_EQ(decoded->objects.size(), 5u);
   EXPECT_EQ(decoded->objects[4].age, 4u);
   EXPECT_TRUE(*decoded->objects[4].object == *image.objects[4].object);
-  EXPECT_EQ(decoded->applied_inserts, image.applied_inserts);
+  EXPECT_EQ(decoded->applied_inserts.keys(), image.applied_inserts.keys());
   ASSERT_EQ(decoded->remove_cache.size(), 2u);
   EXPECT_FALSE(decoded->remove_cache[0].second.has_value());
   ASSERT_TRUE(decoded->remove_cache[1].second.has_value());
@@ -276,7 +276,7 @@ TEST(CheckpointTest, DamagedImageIsRejected) {
   const Schema schema = task_schema();
   CheckpointImage image;
   image.lsn = 5;
-  auto bytes = encode_checkpoint(image);
+  auto bytes = encode_checkpoint(image, /*epoch=*/0);
   auto flipped = bytes;
   flipped[bytes.size() / 2] ^= 0x40;
   EXPECT_FALSE(
@@ -291,7 +291,6 @@ TEST(CheckpointTest, EverySingleByteFlipOfAnImageIsDetected) {
   const Schema schema = task_schema();
   const auto signature = schema.specs()[0].signature;
   CheckpointImage image;
-  image.epoch = 2;
   image.lsn = 17;
   image.next_age = 3;
   for (std::uint64_t i = 0; i < 3; ++i) {
@@ -299,11 +298,11 @@ TEST(CheckpointTest, EverySingleByteFlipOfAnImageIsDetected) {
     object.id = ObjectId{ProcessId{MachineId{1}, 0}, i};
     object.fields = {Value{std::int64_t(i)}, Value{std::string("value")}};
     image.objects.push_back({i, std::make_shared<const PasoObject>(object)});
-    image.applied_inserts.push_back(object.id);
+    image.applied_inserts.insert(object.id);
   }
   image.remove_cache.emplace_back(5, std::nullopt);
   SimDisk disk;
-  disk.overwrite("ckpt", encode_checkpoint(image));
+  disk.overwrite("ckpt", encode_checkpoint(image, /*epoch=*/2));
   const std::size_t size = disk.size("ckpt");
   for (std::size_t offset = 0; offset < size; ++offset) {
     ASSERT_TRUE(disk.flip("ckpt", offset));
@@ -329,7 +328,6 @@ CheckpointImage random_image(std::mt19937_64& rng, std::size_t objects,
     return object;
   };
   CheckpointImage image;
-  image.epoch = rng();
   image.lsn = rng();
   image.next_age = objects;
   for (std::size_t i = 0; i < objects; ++i) {
@@ -337,7 +335,7 @@ CheckpointImage random_image(std::mt19937_64& rng, std::size_t objects,
         {i, std::make_shared<const PasoObject>(random_object(i))});
   }
   for (std::size_t i = 0; i < identities; ++i) {
-    image.applied_inserts.push_back(
+    image.applied_inserts.insert(
         ObjectId{ProcessId{MachineId{std::uint32_t(rng())}, 1}, rng()});
   }
   for (std::size_t i = 0; i < removes; ++i) {
@@ -368,14 +366,15 @@ TEST(CheckpointTest, EncodedSizeIsPrecomputedExactly) {
   };
   for (const Shape& shape : shapes) {
     for (int trial = 0; trial < 5; ++trial) {
+      const std::uint64_t epoch = rng();
       const CheckpointImage image =
           random_image(rng, shape.objects, shape.identities, shape.removes);
-      const auto bytes = encode_checkpoint(image);
+      const auto bytes = encode_checkpoint(image, epoch);
       EXPECT_EQ(bytes.size(), encoded_checkpoint_size(image));
       const auto decoded = decode_checkpoint(bytes, signature);
       ASSERT_TRUE(decoded.has_value());
       EXPECT_EQ(decoded->objects.size(), shape.objects);
-      EXPECT_EQ(decoded->applied_inserts, image.applied_inserts);
+      EXPECT_EQ(decoded->applied_inserts.keys(), image.applied_inserts.keys());
       EXPECT_EQ(decoded->remove_cache, image.remove_cache);
     }
   }
@@ -388,7 +387,6 @@ TEST(CheckpointTest, EncodingIsPinned) {
   // length and CRC-32C of the whole image, pinned from the slice-by-8
   // encoder.
   CheckpointImage image;
-  image.epoch = 9;
   image.lsn = 0x0123456789ABCDEFull;
   image.next_age = 31;
   for (std::uint64_t i = 0; i < 4; ++i) {
@@ -397,15 +395,15 @@ TEST(CheckpointTest, EncodingIsPinned) {
     object.fields = {Value{std::int64_t(i * 1000) - 7},
                      Value{std::string(i * 5, char('a' + i))}};
     image.objects.push_back({2 * i, std::make_shared<const PasoObject>(object)});
-    image.applied_inserts.push_back(object.id);
+    image.applied_inserts.insert(object.id);
   }
-  image.applied_inserts.push_back(ObjectId{ProcessId{MachineId{7}, 2}, ~0ull});
+  image.applied_inserts.insert(ObjectId{ProcessId{MachineId{7}, 2}, ~0ull});
   image.remove_cache.emplace_back(77, std::nullopt);
   PasoObject removed;
   removed.id = ObjectId{ProcessId{MachineId{4}, 0}, 5};
   removed.fields = {Value{std::int64_t(-1)}, Value{std::string("gone")}};
   image.remove_cache.emplace_back(78, SearchResponse{removed});
-  const auto bytes = encode_checkpoint(image);
+  const auto bytes = encode_checkpoint(image, /*epoch=*/9);
   EXPECT_EQ(bytes.size(), 344u);
   EXPECT_EQ(crc32c(bytes.data(), bytes.size()), 0xA0C4DE80u);
 }

@@ -7,10 +7,10 @@
 //
 //   1. capture_state's declared StateBlob::bytes equals the documented
 //      accounting — store payload (16-byte header + per-object wire size +
-//      8-byte age) + 8 for next_age + 16 per applied-insert identity (the
-//      workload's plain read&dels carry no dedup token, so the remove cache
-//      stays empty) — recomputed here from an independent model of the
-//      live set.
+//      8-byte age) + 8 for next_age + 16 per applied-insert identity + 16
+//      per cached remove token (robust read&dels carry one; plain ones
+//      carry none) + 8 for the lsn stamp with persistence on — recomputed
+//      here from an independent model of the live set.
 //   2. A replica rebuilt through the real crash -> state transfer -> install
 //      path answers every probe identically to the donor.
 #include <gtest/gtest.h>
@@ -72,6 +72,7 @@ struct FamilyModel {
   std::map<std::int64_t, std::size_t> live_wire_bytes;  // key -> wire size
   std::uint64_t inserts = 0;
   std::uint64_t removes = 0;
+  std::uint64_t tokens = 0;  ///< robust read&dels: one cached token each
 };
 
 Tuple make_tuple(std::size_t spec, std::int64_t key,
@@ -136,16 +137,29 @@ TEST(StateBlobPropertyTest, BlobAccountingAndRoundTripAcrossFamilies) {
     }
 
     // Random workload: mostly inserts (unique keys), some removals of a
-    // known live key — so the model below tracks the exact live set.
+    // known live key — so the model below tracks the exact live set. Half
+    // the removals are robust read&dels, whose tokens every replica caches.
     const std::size_t ops = 60 + rng.index(40);
     for (std::size_t i = 0; i < ops; ++i) {
       FamilyModel& family = families[rng.index(families.size())];
       if (!family.live_keys.empty() && rng.chance(0.25)) {
         const std::size_t pos = rng.index(family.live_keys.size());
         const std::int64_t key = family.live_keys[pos];
-        const auto removed = cluster.read_del_sync(
-            driver, key_criterion(family.spec, key));
-        ASSERT_TRUE(removed.has_value());
+        if (rng.chance(0.5)) {
+          std::vector<OpReport> reports;
+          cluster.runtime(driver.machine)
+              .read_del_robust(driver, key_criterion(family.spec, key),
+                               [&reports](OpReport r) { reports.push_back(r); });
+          cluster.settle();
+          ASSERT_EQ(reports.size(), 1u);
+          ASSERT_EQ(reports[0].status, OpStatus::kOk);
+          ASSERT_TRUE(reports[0].object.has_value());
+          ++family.tokens;
+        } else {
+          const auto removed = cluster.read_del_sync(
+              driver, key_criterion(family.spec, key));
+          ASSERT_TRUE(removed.has_value());
+        }
         family.live_keys.erase(family.live_keys.begin() + pos);
         family.live_wire_bytes.erase(key);
         ++family.removes;
@@ -159,6 +173,10 @@ TEST(StateBlobPropertyTest, BlobAccountingAndRoundTripAcrossFamilies) {
         ++family.inserts;
       }
     }
+
+    std::uint64_t tokens = 0;
+    for (const FamilyModel& family : families) tokens += family.tokens;
+    ASSERT_GT(tokens, 0u) << "no robust read&del: tokens go unpinned";
 
     // Property 1: declared blob bytes == the documented accounting.
     for (const FamilyModel& family : families) {
@@ -177,9 +195,10 @@ TEST(StateBlobPropertyTest, BlobAccountingAndRoundTripAcrossFamilies) {
 
       const vsync::StateBlob blob =
           donor.capture_state(schema.group_name(*cls));
-      // Plain (non-robust) read&del ships token 0, so these removals leave
-      // no remove-cache entries; only insert identities pad the blob.
-      std::size_t expected = store_bytes + 8 + 16 * family.inserts;
+      // Every insert identity and every robust read&del's token pads the
+      // blob; a plain read&del ships token 0 and is never cached.
+      std::size_t expected =
+          store_bytes + 8 + 16 * family.inserts + 16 * family.tokens;
       if (cluster.persistence_enabled()) expected += 8;  // the lsn stamp
       EXPECT_EQ(blob.bytes, expected) << "family " << family.spec;
     }
