@@ -97,6 +97,13 @@ std::optional<CheckpointImage> decode_checkpoint(
     for (std::uint32_t i = 0; i < objects; ++i) {
       storage::StoredObject stored_obj;
       stored_obj.age = r.u64();
+      // A store takes only ascending ages, each below the next one it will
+      // assign; an image that breaks that order is corrupt, like one that
+      // fails its seal.
+      if (stored_obj.age >= image.next_age ||
+          (i > 0 && stored_obj.age <= image.objects.back().age)) {
+        return std::nullopt;
+      }
       stored_obj.object = std::make_shared<const PasoObject>(
           wire::decode_object(r, signature));
       image.objects.push_back(std::move(stored_obj));

@@ -29,7 +29,7 @@ namespace paso::persist {
 struct CheckpointImage {
   std::uint64_t lsn = 0;  ///< last operation the image covers
   std::uint64_t next_age = 0;
-  /// In age order. A captured image shares the store's objects; encoding
+  /// In strictly ascending age order. A captured image shares the store's objects; encoding
   /// it writes them out without copying them first.
   std::vector<storage::StoredObject> objects;
   /// Idempotence tables, in deterministic (apply / eviction) order. The
@@ -48,7 +48,8 @@ std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image,
 /// wire sizes without encoding: the encoder sizes its buffer with it once.
 std::size_t encoded_checkpoint_size(const CheckpointImage& image);
 
-/// nullopt when the buffer fails its checksum or structural validation —
+/// nullopt when the buffer fails its checksum or structural validation
+/// (ages that do not strictly ascend included) —
 /// the caller falls back to log-only or full-transfer recovery. `epoch`,
 /// when given, receives the generation the image was sealed under.
 std::optional<CheckpointImage> decode_checkpoint(

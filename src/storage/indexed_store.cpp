@@ -48,13 +48,6 @@ IndexedStore::IndexedStore(std::vector<std::size_t> indexed_fields,
   }
 }
 
-std::vector<std::size_t> IndexedStore::indexed_fields() const {
-  std::vector<std::size_t> out;
-  out.reserve(indexes_.size());
-  for (const FieldIndex& index : indexes_) out.push_back(index.field);
-  return out;
-}
-
 std::vector<IndexedStore::IndexStats> IndexedStore::index_stats() const {
   std::vector<IndexStats> out;
   out.reserve(indexes_.size());
@@ -67,18 +60,6 @@ std::vector<IndexedStore::IndexStats> IndexedStore::index_stats() const {
 Cost IndexedStore::query_cost() const {
   if (!options_.ordered) return 1;
   return 1 + std::floor(std::log2(static_cast<double>(size()) + 1));
-}
-
-void IndexedStore::AgeBucket::add(std::uint64_t age) {
-  if (!more_) {
-    more_ = std::make_unique<std::vector<std::uint64_t>>(
-        age < one_ ? std::vector<std::uint64_t>{age, one_}
-                   : std::vector<std::uint64_t>{one_, age});
-    return;
-  }
-  // Ages arrive ascending in delivery order, so this is an append; an
-  // out-of-order age still lands in sorted position.
-  more_->insert(std::upper_bound(more_->begin(), more_->end(), age), age);
 }
 
 bool IndexedStore::AgeBucket::remove(std::uint64_t age) {
@@ -306,29 +287,16 @@ std::optional<PasoObject> IndexedStore::remove(const SearchCriterion& sc) {
   if (slot == nullptr) return std::nullopt;
   const std::uint64_t age = slot->age;
   const ObjectRef object = base_erase(slot);
-  drop_from_indexes(*object, age);
-  return *object;
-}
-
-bool IndexedStore::erase(ObjectId id) {
-  const auto age = age_of(id);
-  if (!age) return false;
-  const ObjectRef object = base_erase(find_age(*age));
-  drop_from_indexes(*object, *age);
-  return true;
-}
-
-void IndexedStore::drop_from_indexes(const PasoObject& object,
-                                     std::uint64_t age) {
   for (FieldIndex& index : indexes_) {
-    if (index.field >= object.fields.size()) continue;
-    const Value& value = object.fields[index.field];
+    if (index.field >= object->fields.size()) continue;
+    const Value& value = object->fields[index.field];
     const std::size_t key = value_hash(value);
     AgeBucket* bucket = index.buckets.find(key);
     if (bucket != nullptr && bucket->remove(age)) index.buckets.erase(key);
     if (options_.ordered) index.sorted.erase(value, age);
     if (index.entries > 0) --index.entries;
   }
+  return *object;
 }
 
 void IndexedStore::index_cleared() {

@@ -30,12 +30,12 @@
 #include <vector>
 
 #include "common/flat_table.hpp"
+#include "storage/object_store.hpp"
 #include "storage/sorted_index.hpp"
-#include "storage/store_base.hpp"
 
 namespace paso::storage {
 
-class IndexedStore final : public StoreBase {
+class IndexedStore final : public ObjectStore {
  public:
   struct Options {
     /// Maintain a sorted twin per indexed field. Costs one extra model unit
@@ -61,7 +61,6 @@ class IndexedStore final : public StoreBase {
 
   std::optional<PasoObject> find(const SearchCriterion& sc) const override;
   std::optional<PasoObject> remove(const SearchCriterion& sc) override;
-  bool erase(ObjectId id) override;
 
   /// Model costs: each hash index is O(1) amortized — one unit per
   /// maintained index, two in ordered mode (the sorted twin is a tree
@@ -74,10 +73,7 @@ class IndexedStore final : public StoreBase {
   Cost remove_cost() const override {
     return static_cast<Cost>(indexes_.size() * (options_.ordered ? 2 : 1));
   }
-  const char* kind() const override { return "indexed"; }
 
-  std::vector<std::size_t> indexed_fields() const;
-  bool ordered() const { return options_.ordered; }
   std::vector<IndexStats> index_stats() const;
 
   /// The access path a criterion would take right now (exposed for tests,
@@ -99,7 +95,11 @@ class IndexedStore final : public StoreBase {
       return *more_;
     }
     std::size_t size() const { return more_ ? more_->size() : 1; }
-    void add(std::uint64_t age);
+    /// Appends `age`: stores take ages in ascending order.
+    void add(std::uint64_t age) {
+      if (!more_) more_ = std::make_unique<std::vector<std::uint64_t>>(1, one_);
+      more_->push_back(age);
+    }
     /// Drops `age` if present; true when no age is left.
     bool remove(std::uint64_t age);
 
@@ -144,7 +144,6 @@ class IndexedStore final : public StoreBase {
   /// The live slot for `age` when it exists and `sc` matches it.
   Slot probe_age(const SearchCriterion& sc, std::uint64_t age) const;
   const FieldIndex& index_of(std::size_t field) const;
-  void drop_from_indexes(const PasoObject& object, std::uint64_t age);
 
   std::vector<FieldIndex> indexes_;
   Options options_;

@@ -5,11 +5,11 @@
 
 #include <algorithm>
 
-#include "storage/store_base.hpp"
+#include "storage/object_store.hpp"
 
 namespace paso::storage {
 
-class LinearStore final : public StoreBase {
+class LinearStore final : public ObjectStore {
  public:
   std::optional<PasoObject> find(const SearchCriterion& sc) const override {
     const Slot slot = oldest_or_ranked(sc);
@@ -23,13 +23,6 @@ class LinearStore final : public StoreBase {
     return *base_erase(slot);
   }
 
-  bool erase(ObjectId id) override {
-    const auto age = age_of(id);
-    if (!age) return false;
-    base_erase(find_age(*age));
-    return true;
-  }
-
   Cost insert_cost() const override { return 1; }
   Cost query_cost() const override {
     return std::max<Cost>(1, static_cast<Cost>(size()));
@@ -37,12 +30,8 @@ class LinearStore final : public StoreBase {
   Cost remove_cost() const override {
     return std::max<Cost>(1, static_cast<Cost>(size()));
   }
-  const char* kind() const override { return "linear"; }
 
  private:
-  void index_stored(const PasoObject&, std::uint64_t) override {}
-  void index_cleared() override {}
-
   Slot oldest_or_ranked(const SearchCriterion& sc) const {
     if (!sc.top_k) return scan_oldest(sc);
     if (!sc.ranked_valid()) return nullptr;

@@ -125,6 +125,14 @@ SearchCriterion random_criterion(Rng& rng) {
   return sc;
 }
 
+/// Matches exactly the objects whose fields equal `object`'s; removing with
+/// it takes the oldest of them — `object` itself unless an older twin lives.
+SearchCriterion exact_criterion(const PasoObject& object) {
+  SearchCriterion sc;
+  for (const Value& value : object.fields) sc.fields.push_back(Exact{value});
+  return sc;
+}
+
 void expect_same(const std::optional<PasoObject>& from_linear,
                  const std::optional<PasoObject>& from_other,
                  const char* family, int seed, int op) {
@@ -201,14 +209,16 @@ void run_oracle(int seed, const std::vector<std::size_t>& indexed_fields,
       }
       if (from_linear) removed_pool.push_back(*from_linear);
     } else if (dice < 0.95) {
-      // Erase by identity of a random live object (if any).
+      // Remove a random live object (if any) by its exact field values.
       const auto snapshot = linear.snapshot();
       if (!snapshot.empty()) {
-        const ObjectId id = snapshot[rng.index(snapshot.size())].object->id;
-        const bool erased = linear.erase(id);
+        const SearchCriterion sc =
+            exact_criterion(*snapshot[rng.index(snapshot.size())].object);
+        const auto from_linear = linear.remove(sc);
+        ASSERT_TRUE(from_linear.has_value()) << "seed " << seed;
         for (Family& family : families) {
-          EXPECT_EQ(family.store->erase(id), erased)
-              << family.name << " seed " << seed;
+          expect_same(from_linear, family.store->remove(sc), family.name,
+                      seed, op);
         }
       }
     } else {
@@ -301,11 +311,10 @@ void expect_same_snapshots(const LinearStore& linear,
 
 TEST(IndexedStoreOracleTest, EraseHeavyPhasesMatchLinearStore) {
   // The age order is a vector with tombstones, compacted once they
-  // outnumber the live entries. Each round fills the stores, then erases
-  // well over half of them — by identity and by criterion — which forces
-  // compaction mid-phase, with finds, snapshots and loads interleaved.
-  // Some refills reuse the ages of erased objects (out of delivery order),
-  // landing on tombstones or in the middle of the vector.
+  // outnumber the live entries. Each round fills the stores in delivery
+  // order, then removes three quarters of them — random live objects by
+  // their exact field values, and random criteria — which forces compaction
+  // mid-phase, with finds, snapshots and loads interleaved.
   const std::vector<std::vector<std::size_t>> configs{{0}, {0, 2}, {0, 1, 2}};
   for (int seed = 0; seed < 60; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) * 40503u + 3);
@@ -314,20 +323,11 @@ TEST(IndexedStoreOracleTest, EraseHeavyPhasesMatchLinearStore) {
         make_families(configs[static_cast<std::size_t>(seed) % configs.size()]);
     std::uint64_t next_age = 0;
     std::uint64_t next_seq = 0;
-    std::vector<std::uint64_t> freed_ages;
     for (int round = 0; round < 4; ++round) {
       const int fill = 40 + static_cast<int>(rng.index(80));
       for (int i = 0; i < fill; ++i) {
-        std::uint64_t age = next_age;
-        if (!freed_ages.empty() && rng.chance(0.2)) {
-          const std::size_t pick = rng.index(freed_ages.size());
-          age = freed_ages[pick];
-          freed_ages.erase(freed_ages.begin() +
-                           static_cast<std::ptrdiff_t>(pick));
-        } else {
-          ++next_age;
-        }
         const PasoObject object = random_object(rng, next_seq++);
+        const std::uint64_t age = next_age++;
         linear.store(object, age);
         for (Family& family : families) family.store->store(object, age);
       }
@@ -336,29 +336,20 @@ TEST(IndexedStoreOracleTest, EraseHeavyPhasesMatchLinearStore) {
       while (linear.size() > target) {
         ++op;
         const double dice = rng.uniform01();
-        if (dice < 0.45) {
-          const auto snapshot = linear.snapshot();
-          const StoredObject& victim = snapshot[rng.index(snapshot.size())];
-          ASSERT_TRUE(linear.erase(victim.object->id));
-          freed_ages.push_back(victim.age);
-          for (Family& family : families) {
-            ASSERT_TRUE(family.store->erase(victim.object->id))
-                << family.name << " seed " << seed;
-          }
-        } else if (dice < 0.80) {
-          const SearchCriterion sc = random_criterion(rng);
-          const auto snapshot = linear.snapshot();
+        if (dice < 0.80) {
+          // A victim is a random live object, so removing it must succeed.
+          const bool victim = dice < 0.45;
+          const SearchCriterion sc =
+              victim ? exact_criterion(
+                           *linear.snapshot()[rng.index(linear.size())].object)
+                     : random_criterion(rng);
           const auto from_linear = linear.remove(sc);
+          if (victim) {
+            ASSERT_TRUE(from_linear.has_value()) << "seed " << seed;
+          }
           for (Family& family : families) {
             expect_same(from_linear, family.store->remove(sc), family.name,
                         seed, op);
-          }
-          if (from_linear) {
-            for (const StoredObject& stored : snapshot) {
-              if (stored.object->id == from_linear->id) {
-                freed_ages.push_back(stored.age);
-              }
-            }
           }
         } else if (dice < 0.95) {
           const SearchCriterion sc = random_criterion(rng);

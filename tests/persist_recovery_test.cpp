@@ -451,8 +451,9 @@ TEST(PersistRecoveryTest, DedupOrderAgreesAcrossInstallPaths) {
   EXPECT_EQ(persist::encode_checkpoint(*reset, /*epoch=*/0),
             persist::encode_checkpoint(*donor_image, /*epoch=*/0));
 
-  // Every path refuses a store whose object was stored and then removed,
-  // and answers a cached remove token from its cache.
+  // Every path refuses a store whose object is live, or was stored and then
+  // removed, and answers a cached remove token from its cache. The server's
+  // insert set is the only guard: the store itself keeps no identities.
   const std::vector<MemoryServer*> all = {&donor, &full, &recovered, &delta};
   const auto expect_refused = [&](const ServerMessage& msg, const char* when) {
     for (std::size_t m = 0; m < all.size(); ++m) {
@@ -465,6 +466,7 @@ TEST(PersistRecoveryTest, DedupOrderAgreesAcrossInstallPaths) {
           << "replica " << m << " changed its live set " << when;
     }
   };
+  expect_refused(store(20), "for a live object after its install path");
   expect_refused(store(14), "after its install path");
   expect_refused(remove(11, 502), "after its install path");
 

@@ -315,6 +315,33 @@ TEST(CheckpointTest, EverySingleByteFlipOfAnImageIsDetected) {
   EXPECT_EQ(clean->objects.size(), 3u);
 }
 
+TEST(CheckpointTest, ImageWithSwappedAgesIsRejected) {
+  // A validly sealed image whose ages do not ascend is corrupt input: a
+  // store would refuse to load it (or its next store), so the decoder
+  // refuses it first.
+  const Schema schema = task_schema();
+  const auto signature = schema.specs()[0].signature;
+  CheckpointImage image;
+  image.lsn = 9;
+  image.next_age = 3;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    PasoObject object;
+    object.id = ObjectId{ProcessId{MachineId{1}, 0}, i};
+    object.fields = {Value{std::int64_t(i)}, Value{std::string("v")}};
+    image.objects.push_back({i, std::make_shared<const PasoObject>(object)});
+  }
+  ASSERT_TRUE(
+      decode_checkpoint(encode_checkpoint(image, 1), signature).has_value());
+  std::swap(image.objects[0].age, image.objects[1].age);
+  EXPECT_FALSE(
+      decode_checkpoint(encode_checkpoint(image, 1), signature).has_value());
+  // An age at or past next_age would collide with the next store's age.
+  std::swap(image.objects[0].age, image.objects[1].age);
+  image.next_age = 2;
+  EXPECT_FALSE(
+      decode_checkpoint(encode_checkpoint(image, 1), signature).has_value());
+}
+
 /// An image over a class with every field type, sized by `rng`.
 CheckpointImage random_image(std::mt19937_64& rng, std::size_t objects,
                              std::size_t identities, std::size_t removes) {

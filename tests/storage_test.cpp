@@ -78,21 +78,23 @@ TEST_P(StoreContractTest, RemoveReturnsOldestAndDeletes) {
   EXPECT_EQ(store->size(), 0u);
 }
 
-TEST_P(StoreContractTest, DuplicateIdentityIsIdempotent) {
+TEST_P(StoreContractTest, AgesMustAscend) {
+  // Ages are delivery order: a store below (or at) the last age, or a load
+  // whose ages are out of order, is a caller's bug, not something to sort.
   auto store = make_store();
-  store->store(make_object(1, 5), 0);
-  store->store(make_object(1, 5), 1);  // same identity: A2 idempotence
+  store->store(make_object(1, 1), 5);
+  EXPECT_THROW(store->store(make_object(2, 2), 3), InvariantViolation);
+  EXPECT_THROW(store->store(make_object(2, 2), 5), InvariantViolation);
   EXPECT_EQ(store->size(), 1u);
-}
 
-TEST_P(StoreContractTest, EraseById) {
-  auto store = make_store();
-  const PasoObject object = make_object(3, 9);
-  store->store(object, 0);
-  EXPECT_TRUE(store->erase(object.id));
-  EXPECT_FALSE(store->erase(object.id));
-  EXPECT_EQ(store->size(), 0u);
-  EXPECT_FALSE(store->find(key_criterion(9)).has_value());
+  store->store(make_object(2, 2), 9);
+  auto swapped = store->snapshot();
+  ASSERT_EQ(swapped.size(), 2u);
+  std::swap(swapped[0].age, swapped[1].age);
+  auto other = make_store();
+  other->store(make_object(3, 3), 0);
+  EXPECT_THROW(other->load(swapped), InvariantViolation);
+  EXPECT_EQ(other->size(), 1u) << "a refused load must leave the store as is";
 }
 
 TEST_P(StoreContractTest, GeneralCriterionFallsBackToScan) {
