@@ -160,8 +160,8 @@ int main() {
     }
   }
 
-  // Real wall time per sweep cell (informational only — bench_diff never
-  // gates wall-clock axes; the gated quantity is worst_ratio).
+  // Real wall time per sweep cell: informational only, bench_diff never
+  // gates wall-clock axes. It gates worst_ratio upward, like a cost.
   const double wall_ns =
       static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                               std::chrono::steady_clock::now() - wall_start)

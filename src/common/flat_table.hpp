@@ -8,9 +8,7 @@
 // destroying one frees two blocks (plus whatever the values own).
 //
 // Iteration order depends on the capacity and the insertion history, so it
-// is not a replica-consistent order. A set whose keys must come out in the
-// same order on every replica is an AppendSet (common/append_set.hpp),
-// which keeps them in insertion order.
+// is not a replica-consistent order and must never reach an output.
 // Any mutation may move slots, so pointers returned by find()/emplace() are
 // valid only until the next insert or erase.
 #pragma once

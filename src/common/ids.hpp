@@ -33,13 +33,17 @@ struct ProcessId {
 /// Unique object identity (Section 4: "attaching to each object some unique
 /// identification signed by its creating process"). The pair (creator,
 /// sequence) is unique system-wide because each process numbers its own
-/// insertions.
+/// insertions, per object class: the class + 1 in the sequence's bits from
+/// kSequenceClassShift up, a per-(process, class) counter below.
 struct ObjectId {
   ProcessId creator;
   std::uint64_t sequence = 0;
 
   friend auto operator<=>(const ObjectId&, const ObjectId&) = default;
 };
+
+/// Where an insert sequence's class bits start (see ObjectId).
+inline constexpr unsigned kSequenceClassShift = 40;
 
 /// Name of a process group (Section 3.2, `Names`).
 using GroupName = std::string;
@@ -57,8 +61,13 @@ inline std::ostream& operator<<(std::ostream& os, MachineId m) {
 inline std::ostream& operator<<(std::ostream& os, ProcessId p) {
   return os << p.machine << ".p" << p.ordinal;
 }
+/// M<machine>.p<ordinal>#c<class>.<counter>; a sequence without class bits
+/// prints as its number.
 inline std::ostream& operator<<(std::ostream& os, ObjectId o) {
-  return os << o.creator << "#" << o.sequence;
+  os << o.creator << "#";
+  const std::uint64_t cls = o.sequence >> kSequenceClassShift;
+  if (cls != 0) os << "c" << cls - 1 << ".";
+  return os << (o.sequence & ((std::uint64_t{1} << kSequenceClassShift) - 1));
 }
 inline std::ostream& operator<<(std::ostream& os, ViewId v) {
   return os << "v" << v.value;

@@ -99,8 +99,8 @@ persist::CheckpointImage MemoryServer::checkpoint_image(
   image.lsn = state.lsn;
   image.next_age = state.next_age;
   image.objects = state.store->snapshot();
-  // Apply order is replica-consistent, so replicas with equal state encode
-  // byte-identical images without sorting.
+  // The runs are canonical, so replicas with equal state encode
+  // byte-identical images.
   image.applied_inserts = state.applied_inserts;
   image.remove_cache.reserve(state.remove_cache_order.size());
   for (const std::uint64_t token : state.remove_cache_order) {
@@ -399,11 +399,11 @@ vsync::StateBlob MemoryServer::capture_state(const GroupName& group) {
   auto snapshot = std::make_shared<const FullSnapshot>(
       FullSnapshot{checkpoint_image(state), state.markers});
   vsync::StateBlob blob;
-  // Store payload + next_age + the dedup tables (16 bytes per insert
-  // identity, 16 per cached remove token): the joiner must refuse the same
+  // Store payload + next_age + the dedup tables (24 bytes per identity
+  // run, 16 per cached remove token): the joiner must refuse the same
   // duplicates its donor would, so the tables are real transferred state.
   blob.bytes = state.store->state_bytes() + 8 +
-               16 * state.applied_inserts.size() +
+               persist::kIdentityRunBytes * state.applied_inserts.size() +
                16 * state.remove_cache.size();
   // With persistence on, the blob also carries the lsn stamp (8 bytes) so
   // the joiner can seed its own log position. Off, the stamp is free: the

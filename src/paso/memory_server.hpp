@@ -21,7 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/append_set.hpp"
+#include "common/identity_runs.hpp"
 #include "net/transport.hpp"
 #include "sim/simulator.hpp"  // sim::SimTime alias (marker TTL bookkeeping)
 #include "obs/obs.hpp"
@@ -170,13 +170,12 @@ class MemoryServer final : public vsync::GroupEndpoint {
     /// Every identity ever stored here — including since-removed ones — so a
     /// retransmitted store(o) neither duplicates a live object nor
     /// resurrects a removed one (A2: at-most-one insert per identity).
-    /// Kept in apply order, which is a function of the delivered prefix
-    /// alone: gcasts are totally ordered, a full install copies the donor's
-    /// sequence, recovery is the checkpoint's sequence followed by the
-    /// replay in lsn order, and a delta install is the joiner's own prefix
-    /// followed by the donor's suffix in lsn order. So replicas at equal lsn
-    /// hold equal sequences, and a checkpoint writes keys() as they stand.
-    AppendSet<ObjectId> applied_inserts;
+    /// Held as runs of sequences per creator: the runtime numbers each
+    /// process's inserts per class consecutively, so the table grows with
+    /// creators and gaps (abandoned sequences), not with the insert
+    /// history. Its form is canonical, so replicas with equal state hold
+    /// equal tables whatever order they applied the stores in.
+    IdentityRuns applied_inserts;
     /// Remove decisions by operation token, in insertion order for eviction.
     std::unordered_map<std::uint64_t, SearchResponse> remove_cache;
     std::deque<std::uint64_t> remove_cache_order;

@@ -110,7 +110,7 @@ ObjectId PasoRuntime::insert(ProcessId process, Tuple fields,
                "violated for " + group);
 
   PasoObject object;
-  object.id = ObjectId{process, insert_seq_[process]++};
+  object.id = next_object_id(process, *cls);
   object.fields = std::move(fields);
 
   std::uint64_t history_id = 0;
@@ -562,6 +562,22 @@ std::uint64_t PasoRuntime::next_remove_token() {
          next_remove_seq_++;
 }
 
+ObjectId PasoRuntime::next_object_id(ProcessId process, ClassId cls) {
+  // The class in the high bits, a per-(process, class) counter below: the
+  // identity is unique system-wide, and one creator's identities in one
+  // class are consecutive, so a server's dedup table holds them as one run.
+  // The counters survive crashes, like next_remove_seq_.
+  PASO_REQUIRE(cls.value < (1u << (64 - kSequenceClassShift)) - 1,
+               "class id does not fit an insert sequence");
+  std::vector<std::uint64_t>& counters = insert_seq_[process];
+  if (counters.size() <= cls.value) counters.resize(cls.value + 1, 0);
+  std::uint64_t& counter = counters[cls.value];
+  PASO_REQUIRE(counter < (std::uint64_t{1} << kSequenceClassShift),
+               "insert sequence counter overflow");
+  return ObjectId{process, ((cls.value + std::uint64_t{1})
+                            << kSequenceClassShift) | counter++};
+}
+
 ObjectId PasoRuntime::insert_robust(ProcessId process, Tuple fields,
                                     ReportCallback report,
                                     sim::SimTime deadline) {
@@ -573,7 +589,7 @@ ObjectId PasoRuntime::insert_robust(ProcessId process, Tuple fields,
   // StoreMsg, so A2 (at-most-one insert per identity) holds by construction
   // and the servers' insert dedup makes the retries harmless.
   PasoObject object;
-  object.id = ObjectId{process, insert_seq_[process]++};
+  object.id = next_object_id(process, *cls);
   object.fields = std::move(fields);
 
   RobustOp op;

@@ -333,6 +333,8 @@ class PasoRuntime final : public GroupControl {
   void robust_finish(std::uint64_t op_id, OpStatus status,
                      SearchResponse object);
   std::uint64_t next_remove_token();
+  /// A fresh identity for `process`'s next insert into `cls`.
+  ObjectId next_object_id(ProcessId process, ClassId cls);
   sim::SimTime resolve_deadline(sim::SimTime deadline) const;
 
   void record_return(std::uint64_t history_id, bool has_history,
@@ -354,7 +356,8 @@ class PasoRuntime final : public GroupControl {
   std::unique_ptr<ReplicationPolicy> policy_;
   BasicSupportProvider basic_support_;
 
-  std::unordered_map<ProcessId, std::uint64_t> insert_seq_;
+  /// Insert counters per process, indexed by class (see next_object_id).
+  std::unordered_map<ProcessId, std::vector<std::uint64_t>> insert_seq_;
   std::unordered_map<std::uint32_t, std::size_t> read_rotation_;
   std::unordered_map<std::uint32_t, std::size_t> sticky_anchor_;
   std::unordered_map<std::uint32_t, std::uint64_t> reads_issued_;

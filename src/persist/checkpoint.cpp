@@ -12,18 +12,20 @@ namespace paso::persist {
 
 namespace {
 
-void encode_id(ByteWriter& w, const ObjectId& id) {
-  w.u32(id.creator.machine.value);
-  w.u32(id.creator.ordinal);
-  w.u64(id.sequence);
+void encode_run(ByteWriter& w, const IdentityRun& run) {
+  w.u32(run.creator.machine.value);
+  w.u32(run.creator.ordinal);
+  w.u64(run.lo);
+  w.u64(run.hi);
 }
 
-ObjectId decode_id(ByteReader& r) {
-  ObjectId id;
-  id.creator.machine.value = r.u32();
-  id.creator.ordinal = r.u32();
-  id.sequence = r.u64();
-  return id;
+IdentityRun decode_run(ByteReader& r) {
+  IdentityRun run;
+  run.creator.machine.value = r.u32();
+  run.creator.ordinal = r.u32();
+  run.lo = r.u64();
+  run.hi = r.u64();
+  return run;
 }
 
 }  // namespace
@@ -34,7 +36,7 @@ std::size_t encoded_checkpoint_size(const CheckpointImage& image) {
   for (const storage::StoredObject& stored : image.objects) {
     size += 8 + stored.object->wire_size();
   }
-  size += 16 * image.applied_inserts.size();
+  size += kIdentityRunBytes * image.applied_inserts.size();
   for (const auto& [token, response] : image.remove_cache) {
     size += 8 + 1 + (response.has_value() ? response->wire_size() : 0);
   }
@@ -55,7 +57,9 @@ std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image,
     wire::encode_object(w, *stored.object);
   }
   w.u32(static_cast<std::uint32_t>(image.applied_inserts.size()));
-  for (const ObjectId& id : image.applied_inserts.keys()) encode_id(w, id);
+  for (const IdentityRun& run : image.applied_inserts.runs()) {
+    encode_run(w, run);
+  }
   w.u32(static_cast<std::uint32_t>(image.remove_cache.size()));
   for (const auto& [token, response] : image.remove_cache) {
     w.u64(token);
@@ -109,10 +113,17 @@ std::optional<CheckpointImage> decode_checkpoint(
       image.objects.push_back(std::move(stored_obj));
     }
     const std::uint32_t count = r.u32();
-    std::vector<ObjectId> inserts;
-    inserts.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) inserts.push_back(decode_id(r));
-    image.applied_inserts.assign(inserts);
+    // A count the bytes left cannot hold is corrupt; it must not size an
+    // allocation.
+    if (count > (body.size() - r.position()) / kIdentityRunBytes) {
+      return std::nullopt;
+    }
+    std::vector<IdentityRun> runs;
+    runs.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) runs.push_back(decode_run(r));
+    // Runs out of canonical form would refuse the wrong identities (or let
+    // replicas disagree on their bytes): corrupt, like a failed seal.
+    if (!image.applied_inserts.assign(std::move(runs))) return std::nullopt;
     const std::uint32_t removes = r.u32();
     image.remove_cache.reserve(removes);
     for (std::uint32_t i = 0; i < removes; ++i) {

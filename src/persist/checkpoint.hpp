@@ -2,12 +2,13 @@
 //
 // An image captures everything a replica needs to rebuild its in-memory
 // class state up to a known LSN — the stored objects with their
-// replica-consistent ages, plus the idempotence tables (applied insert
-// identities, cached remove decisions). A checkpoint seals it to disk, and
-// a full state-transfer blob is the image plus the donor's live read
-// markers. Markers are deliberately absent from the image: they are
-// transient (expiring, owner-notifying) state whose authoritative copy rides
-// in the live transfer from a donor, never in cold storage.
+// replica-consistent ages, plus the idempotence tables (the applied insert
+// identities as runs of sequences per creator, cached remove decisions). A
+// checkpoint seals it to disk, and a full state-transfer blob is the image
+// plus the donor's live read markers. Markers are deliberately absent from
+// the image: they are transient (expiring, owner-notifying) state whose
+// authoritative copy rides in the live transfer from a donor, never in cold
+// storage.
 //
 // The encoding is schema-directed like the wire codec (the class signature
 // fixes field types) and ends with a checksum over the whole image, so a
@@ -19,7 +20,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/append_set.hpp"
+#include "common/identity_runs.hpp"
 #include "paso/messages.hpp"
 #include "paso/object.hpp"
 #include "storage/object_store.hpp"
@@ -32,11 +33,15 @@ struct CheckpointImage {
   /// In strictly ascending age order. A captured image shares the store's objects; encoding
   /// it writes them out without copying them first.
   std::vector<storage::StoredObject> objects;
-  /// Idempotence tables, in deterministic (apply / eviction) order. The
-  /// insert set travels with its index, so an install copies it whole.
-  AppendSet<ObjectId> applied_inserts;
+  /// Idempotence tables. The insert identities are canonical runs, so
+  /// their order is a function of the set alone; the remove cache is in
+  /// eviction order.
+  IdentityRuns applied_inserts;
   std::vector<std::pair<std::uint64_t, SearchResponse>> remove_cache;
 };
+
+/// Encoded bytes per identity run: the creator (two u32) and lo, hi (u64).
+inline constexpr std::size_t kIdentityRunBytes = 24;
 
 /// Seals the image under checkpoint generation `epoch` (monotonic per
 /// class). Encoding is signature-free (value types are implied by the
@@ -49,7 +54,8 @@ std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image,
 std::size_t encoded_checkpoint_size(const CheckpointImage& image);
 
 /// nullopt when the buffer fails its checksum or structural validation
-/// (ages that do not strictly ascend included) —
+/// (ages that do not strictly ascend, and identity runs that are unsorted,
+/// overlapping, touching or inverted, included) —
 /// the caller falls back to log-only or full-transfer recovery. `epoch`,
 /// when given, receives the generation the image was sealed under.
 std::optional<CheckpointImage> decode_checkpoint(

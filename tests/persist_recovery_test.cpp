@@ -343,12 +343,79 @@ TEST(PersistRecoveryTest, DisabledSubsystemDoesNoDiskIO) {
   expect_axioms_hold(cluster);
 }
 
+// A join copies Θ(ℓ) state. Once a round of inserts has been read&del'ed
+// away, the class image is the size it was after the first round, however
+// many rounds the class has seen: the dedup table grows with creators and
+// gaps, not with every identity ever inserted.
+TEST(PersistRecoveryTest, ClassImageSizeIsIndependentOfInsertHistory) {
+  ClusterConfig cfg;
+  cfg.machines = 4;
+  cfg.lambda = 1;
+  cfg.persistence = persistence_on();
+  Cluster cluster(task_schema(), cfg);
+  cluster.assign_basic_support();  // wg(task) = {m0, m1}
+  const ClassId cls{0};
+  const GroupName group = cluster.schema().group_name(cls);
+  const MachineId member{0};
+  const ProcessId drivers[] = {cluster.process(MachineId{2}),
+                               cluster.process(MachineId{3})};
+  constexpr std::int64_t kResident = 8;  // ℓ between rounds
+  constexpr std::int64_t kPerRound = 16;
+  for (std::int64_t key = 0; key < kResident; ++key) {
+    ASSERT_TRUE(cluster.insert_sync(drivers[key % 2], task(-1 - key)));
+  }
+  const auto round = [&] {
+    for (std::int64_t key = 0; key < kPerRound; ++key) {
+      ASSERT_TRUE(cluster.insert_sync(drivers[key % 2], task(1000 + key)));
+    }
+    for (std::int64_t key = 0; key < kPerRound; ++key) {
+      ASSERT_TRUE(cluster
+                      .read_del_sync(drivers[key % 2],
+                                     criterion(Exact{Value{1000 + key}},
+                                               AnyField{}))
+                      .has_value());
+    }
+  };
+  struct Sizes {
+    std::size_t blob = 0;
+    std::size_t checkpoint = 0;
+    std::size_t runs = 0;
+  };
+  const auto measure = [&] {
+    Sizes sizes;
+    sizes.blob = cluster.server(member).capture_state(group).bytes;
+    EXPECT_GT(cluster.server(member).checkpoint_class(cls), 0);
+    const auto* bytes = cluster.persistence(member).disk().peek("c0.ckpt");
+    EXPECT_NE(bytes, nullptr);
+    if (bytes == nullptr) return sizes;
+    const auto image = persist::decode_checkpoint(
+        *bytes, cluster.schema().specs()[0].signature);
+    EXPECT_TRUE(image.has_value());
+    if (!image) return sizes;
+    EXPECT_EQ(image->objects.size(), static_cast<std::size_t>(kResident));
+    sizes.checkpoint = persist::encoded_checkpoint_size(*image);
+    sizes.runs = image->applied_inserts.size();
+    return sizes;
+  };
+  round();
+  const Sizes first = measure();
+  for (int r = 1; r < 10; ++r) round();
+  const Sizes tenth = measure();
+  EXPECT_EQ(tenth.blob, first.blob) << "the full blob grew with the history";
+  EXPECT_EQ(tenth.checkpoint, first.checkpoint)
+      << "the checkpoint grew with the history";
+  EXPECT_EQ(tenth.runs, 2u) << "one run per creator";
+  expect_axioms_hold(cluster);
+}
+
 // The dedup tables that a checkpoint writes must be the same on every
 // replica at the same lsn, however the replica got its state: live
 // delivery, a full install, crash recovery from a checkpoint plus a WAL
-// tail, or a delta install. Identities arrive out of their sorted order, so
-// a replica that wrote them in some history-dependent order would disagree;
-// the remove cache must agree in contents and in eviction order, although a
+// tail, or a delta install. Each creator's identities arrive in descending
+// order, one creator's sequence is abandoned (never delivered) and another
+// arrives late, after the later ones, so the insert runs split and merge;
+// a replica whose table depended on that history would disagree. The
+// remove cache must agree in contents and in eviction order, although a
 // full install carries it as ordered pairs and rebuilds its map and queue.
 // Every path must also keep refusing the store of an object that was stored
 // and then removed, and replay a cached remove instead of applying it. The
@@ -382,13 +449,13 @@ TEST(PersistRecoveryTest, DedupOrderAgreesAcrossInstallPaths) {
                            vsync::Payload{msg, message_wire_size(msg)});
     }
   };
-  // Identities from three creators, each counting down: apply order is
-  // neither sorted nor creator-grouped.
+  // Identities from three creators, each counting down through 1000..971:
+  // apply order is neither sorted nor creator-grouped.
   const auto object = [](std::int64_t key) {
     PasoObject o;
     o.id = ObjectId{ProcessId{MachineId{static_cast<std::uint32_t>(key % 3)},
                               0},
-                    static_cast<std::uint64_t>(1000 - key)};
+                    static_cast<std::uint64_t>(1000 - key / 3)};
     o.fields = task(key);
     return o;
   };
@@ -409,8 +476,14 @@ TEST(PersistRecoveryTest, DedupOrderAgreesAcrossInstallPaths) {
 
   // Phase A reaches every replica but the full joiner; the replica that
   // will recover checkpoints halfway, so its replay is checkpoint + tail.
+  // Key 31 (creator 1, sequence 990) is abandoned: its issuer never sends
+  // it. Key 25 (creator 1, sequence 992) is delivered late, in phase C.
+  constexpr std::int64_t kAbandoned = 31;
+  constexpr std::int64_t kLate = 25;
   const std::vector<MemoryServer*> phase_a = {&donor, &recovered, &delta};
-  for (std::int64_t key = 0; key < 40; ++key) deliver(phase_a, store(key));
+  for (std::int64_t key = 0; key < 40; ++key) {
+    if (key != kAbandoned && key != kLate) deliver(phase_a, store(key));
+  }
   for (std::int64_t key = 0; key < 40; key += 7) deliver(phase_a, remove(key));
   // Token-carrying removes, hits and misses alike, on either side of the
   // recovering replica's checkpoint.
@@ -470,7 +543,16 @@ TEST(PersistRecoveryTest, DedupOrderAgreesAcrossInstallPaths) {
   expect_refused(store(14), "after its install path");
   expect_refused(remove(11, 502), "after its install path");
 
-  // Phase C reaches everyone.
+  // Phase C reaches everyone. The late store is new to every replica, so
+  // each applies it exactly once.
+  for (MemoryServer* server : all) {
+    const std::uint64_t refused = server->duplicates_refused();
+    const std::size_t live = server->live_count(cls);
+    deliver({server}, store(kLate));
+    EXPECT_EQ(server->duplicates_refused(), refused);
+    EXPECT_EQ(server->live_count(cls), live + 1);
+  }
+  expect_refused(store(kLate), "for the late store");
   for (std::int64_t key = 75; key < 90; ++key) deliver(all, store(key));
   deliver(all, remove(80));
   deliver(all, remove(85, 507));
@@ -484,9 +566,16 @@ TEST(PersistRecoveryTest, DedupOrderAgreesAcrossInstallPaths) {
     ASSERT_TRUE(image.has_value()) << "replica " << m;
     images.push_back(std::move(*image));
   }
-  // 90 identities stored, none twice; seven remove tokens cached, in
+  // 89 identities stored, none twice: one run per creator, and creator 1's
+  // split around the abandoned sequence. Seven remove tokens cached, in
   // delivery order (the order they are evicted in).
-  EXPECT_EQ(images[0].applied_inserts.size(), 90u);
+  const auto run = [](std::uint32_t machine, std::uint64_t lo,
+                      std::uint64_t hi) {
+    return IdentityRun{ProcessId{MachineId{machine}, 0}, lo, hi};
+  };
+  EXPECT_EQ(images[0].applied_inserts.runs(),
+            (std::vector<IdentityRun>{run(0, 971, 1000), run(1, 971, 989),
+                                      run(1, 991, 1000), run(2, 971, 1000)}));
   std::vector<std::uint64_t> tokens;
   for (const auto& [token, response] : images[0].remove_cache) {
     tokens.push_back(token);
@@ -499,9 +588,9 @@ TEST(PersistRecoveryTest, DedupOrderAgreesAcrossInstallPaths) {
   for (std::size_t m = 1; m < images.size(); ++m) {
     EXPECT_EQ(images[m].lsn, images[0].lsn) << "replica " << m;
     EXPECT_EQ(images[m].next_age, images[0].next_age) << "replica " << m;
-    EXPECT_EQ(images[m].applied_inserts.keys(),
-              images[0].applied_inserts.keys())
-        << "replica " << m << " wrote its identities in another order";
+    EXPECT_EQ(images[m].applied_inserts.runs(),
+              images[0].applied_inserts.runs())
+        << "replica " << m << " holds another run table";
     EXPECT_EQ(images[m].remove_cache, images[0].remove_cache)
         << "replica " << m << " holds another remove cache or order";
   }

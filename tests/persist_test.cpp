@@ -265,7 +265,7 @@ TEST(CheckpointTest, RoundTripsImage) {
   ASSERT_EQ(decoded->objects.size(), 5u);
   EXPECT_EQ(decoded->objects[4].age, 4u);
   EXPECT_TRUE(*decoded->objects[4].object == *image.objects[4].object);
-  EXPECT_EQ(decoded->applied_inserts.keys(), image.applied_inserts.keys());
+  EXPECT_EQ(decoded->applied_inserts.runs(), image.applied_inserts.runs());
   ASSERT_EQ(decoded->remove_cache.size(), 2u);
   EXPECT_FALSE(decoded->remove_cache[0].second.has_value());
   ASSERT_TRUE(decoded->remove_cache[1].second.has_value());
@@ -342,6 +342,61 @@ TEST(CheckpointTest, ImageWithSwappedAgesIsRejected) {
       decode_checkpoint(encode_checkpoint(image, 1), signature).has_value());
 }
 
+TEST(CheckpointTest, MalformedIdentityRunsAreRejected) {
+  // A validly sealed image whose identity runs are not canonical is
+  // corrupt input: unsorted, overlapping or inverted runs would refuse the
+  // wrong identities, and touching ones would let replicas with equal
+  // state disagree on their bytes. The runs are patched into an encoded
+  // image and the image resealed, so only the run check can catch them.
+  const Schema schema = task_schema();
+  const auto signature = schema.specs()[0].signature;
+  CheckpointImage image;
+  image.lsn = 12;
+  for (const std::uint64_t s : {3, 4, 5, 9, 10}) {
+    image.applied_inserts.insert(ObjectId{ProcessId{MachineId{1}, 0}, s});
+  }
+  image.applied_inserts.insert(ObjectId{ProcessId{MachineId{2}, 0}, 0});
+  ASSERT_EQ(image.applied_inserts.size(), 3u);
+  const auto good = encode_checkpoint(image, /*epoch=*/1);
+  ASSERT_TRUE(decode_checkpoint(good, signature).has_value());
+  // No objects: the run table starts after the header, the object count
+  // and its own count; each run is machine, ordinal, lo, hi.
+  constexpr std::size_t kRuns = 3 * 8 + 4 + 4;
+  const auto patched = [&](std::size_t run, std::size_t field_offset,
+                           std::uint64_t value, std::size_t width) {
+    auto bytes = good;
+    for (std::size_t i = 0; i < width; ++i) {
+      bytes[kRuns + kIdentityRunBytes * run + field_offset + i] =
+          static_cast<std::uint8_t>(value >> (8 * i));
+    }
+    const std::size_t body = bytes.size() - 4;
+    const std::uint32_t seal = wal_checksum(image.lsn, bytes.data(), body);
+    for (int i = 0; i < 4; ++i) bytes[body + i] = std::uint8_t(seal >> (8 * i));
+    return bytes;
+  };
+  // Runs as encoded: (M1, 3..5), (M1, 9..10), (M2, 0..0).
+  EXPECT_TRUE(decode_checkpoint(patched(1, 8, 7, 8), signature).has_value())
+      << "a lower start that keeps the runs apart is still canonical";
+  EXPECT_FALSE(decode_checkpoint(patched(1, 8, 1, 8), signature).has_value())
+      << "unsorted";
+  EXPECT_FALSE(decode_checkpoint(patched(1, 8, 5, 8), signature).has_value())
+      << "overlapping";
+  EXPECT_FALSE(decode_checkpoint(patched(1, 8, 6, 8), signature).has_value())
+      << "touching";
+  EXPECT_FALSE(decode_checkpoint(patched(0, 16, 2, 8), signature).has_value())
+      << "inverted";
+  EXPECT_FALSE(decode_checkpoint(patched(2, 0, 0, 4), signature).has_value())
+      << "creators out of order";
+  // A run count past the end of the image is refused before any run is
+  // read.
+  auto counted = good;
+  counted[kRuns - 4 + 3] = 0x10;
+  const std::size_t body = counted.size() - 4;
+  const std::uint32_t seal = wal_checksum(image.lsn, counted.data(), body);
+  for (int i = 0; i < 4; ++i) counted[body + i] = std::uint8_t(seal >> (8 * i));
+  EXPECT_FALSE(decode_checkpoint(counted, signature).has_value());
+}
+
 /// An image over a class with every field type, sized by `rng`.
 CheckpointImage random_image(std::mt19937_64& rng, std::size_t objects,
                              std::size_t identities, std::size_t removes) {
@@ -401,7 +456,7 @@ TEST(CheckpointTest, EncodedSizeIsPrecomputedExactly) {
       const auto decoded = decode_checkpoint(bytes, signature);
       ASSERT_TRUE(decoded.has_value());
       EXPECT_EQ(decoded->objects.size(), shape.objects);
-      EXPECT_EQ(decoded->applied_inserts.keys(), image.applied_inserts.keys());
+      EXPECT_EQ(decoded->applied_inserts.runs(), image.applied_inserts.runs());
       EXPECT_EQ(decoded->remove_cache, image.remove_cache);
     }
   }
@@ -410,9 +465,10 @@ TEST(CheckpointTest, EncodedSizeIsPrecomputedExactly) {
 }
 
 TEST(CheckpointTest, EncodingIsPinned) {
-  // A checkpoint image is a disk format, so its bytes must never change:
-  // length and CRC-32C of the whole image, pinned from the slice-by-8
-  // encoder.
+  // A checkpoint image is a disk format, so its bytes must never change
+  // unless the format does: length and CRC-32C of the whole image. The
+  // identities form two runs, (M3.p1, 1000..1003) and (M7.p2, ~0..~0), at
+  // 24 bytes each.
   CheckpointImage image;
   image.lsn = 0x0123456789ABCDEFull;
   image.next_age = 31;
@@ -431,8 +487,9 @@ TEST(CheckpointTest, EncodingIsPinned) {
   removed.fields = {Value{std::int64_t(-1)}, Value{std::string("gone")}};
   image.remove_cache.emplace_back(78, SearchResponse{removed});
   const auto bytes = encode_checkpoint(image, /*epoch=*/9);
-  EXPECT_EQ(bytes.size(), 344u);
-  EXPECT_EQ(crc32c(bytes.data(), bytes.size()), 0xA0C4DE80u);
+  ASSERT_EQ(image.applied_inserts.size(), 2u);
+  EXPECT_EQ(bytes.size(), 312u);
+  EXPECT_EQ(crc32c(bytes.data(), bytes.size()), 0xDC9485A4u);
 }
 
 // --- PersistenceManager ------------------------------------------------------

@@ -3,6 +3,9 @@
 // crashed-machine issue guards.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "paso/cluster.hpp"
 
 namespace paso {
@@ -152,18 +155,39 @@ TEST_F(RuntimeTest, OperationsFromCrashedMachineAreRejected) {
 }
 
 TEST_F(RuntimeTest, InsertAssignsMonotoneSequencePerProcess) {
+  // Sequences are numbered per (process, class): the class + 1 in the bits
+  // above 40, a counter from 0 below. One creator's identities in one class
+  // are consecutive, and identities are unique across classes.
   PasoRuntime& runtime = cluster_.runtime(MachineId{0});
   const ProcessId a = cluster_.process(MachineId{0}, 0);
   const ProcessId b = cluster_.process(MachineId{0}, 1);
-  const ObjectId a0 =
-      runtime.insert(a, {Value{std::int64_t{1}}, Value{std::string{"x"}}});
-  const ObjectId a1 =
-      runtime.insert(a, {Value{std::int64_t{2}}, Value{std::string{"x"}}});
-  const ObjectId b0 =
-      runtime.insert(b, {Value{std::int64_t{3}}, Value{std::string{"x"}}});
-  EXPECT_EQ(a0.sequence + 1, a1.sequence);
-  EXPECT_EQ(b0.sequence, 0u);  // per-process numbering
-  EXPECT_NE(a0, b0);
+  const auto tuple = [](std::int64_t key) {
+    return Tuple{Value{key}, Value{std::string{"x"}}};
+  };
+  std::map<std::uint32_t, std::vector<std::uint64_t>> per_class;
+  std::set<ObjectId> ids;
+  for (std::int64_t key = 0; key < 24; ++key) {
+    const ClassId cls = *cluster_.schema().classify(tuple(key));
+    const ObjectId id = key % 5 == 4
+                            ? runtime.insert_robust(a, tuple(key), nullptr)
+                            : runtime.insert(a, tuple(key));
+    EXPECT_EQ(id.creator, a);
+    EXPECT_EQ(id.sequence >> 40, cls.value + 1u) << "key " << key;
+    EXPECT_TRUE(ids.insert(id).second) << "identity reused at key " << key;
+    per_class[cls.value].push_back(id.sequence);
+  }
+  ASSERT_GT(per_class.size(), 1u) << "the keys should span classes";
+  for (const auto& [cls, sequences] : per_class) {
+    EXPECT_EQ(sequences.front() & ((std::uint64_t{1} << 40) - 1), 0u);
+    for (std::size_t i = 1; i < sequences.size(); ++i) {
+      EXPECT_EQ(sequences[i], sequences[i - 1] + 1) << "class " << cls;
+    }
+  }
+  // Per-process numbering: b's first insert into a class starts at 0.
+  const ClassId first = *cluster_.schema().classify(tuple(0));
+  const ObjectId b0 = runtime.insert(b, tuple(0));
+  EXPECT_EQ(b0.sequence, (first.value + std::uint64_t{1}) << 40);
+  EXPECT_FALSE(ids.contains(b0));
   cluster_.settle();
 }
 

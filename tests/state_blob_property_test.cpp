@@ -7,8 +7,10 @@
 //
 //   1. capture_state's declared StateBlob::bytes equals the documented
 //      accounting — store payload (16-byte header + per-object wire size +
-//      8-byte age) + 8 for next_age + 16 per applied-insert identity + 16
-//      per cached remove token (robust read&dels carry one; plain ones
+//      8-byte age) + 8 for next_age + 24 per run of applied-insert
+//      identities (one driver numbers its inserts per class consecutively,
+//      so a class it inserted into holds one run, however many inserts) +
+//      16 per cached remove token (robust read&dels carry one; plain ones
 //      carry none) + 8 for the lsn stamp with persistence on — recomputed
 //      here from an independent model of the live set.
 //   2. A replica rebuilt through the real crash -> state transfer -> install
@@ -195,10 +197,11 @@ TEST(StateBlobPropertyTest, BlobAccountingAndRoundTripAcrossFamilies) {
 
       const vsync::StateBlob blob =
           donor.capture_state(schema.group_name(*cls));
-      // Every insert identity and every robust read&del's token pads the
-      // blob; a plain read&del ships token 0 and is never cached.
-      std::size_t expected =
-          store_bytes + 8 + 16 * family.inserts + 16 * family.tokens;
+      // The driver's run of insert identities and every robust read&del's
+      // token pad the blob; a plain read&del ships token 0 and is never
+      // cached.
+      const std::size_t runs = family.inserts > 0 ? 1 : 0;
+      std::size_t expected = store_bytes + 8 + 24 * runs + 16 * family.tokens;
       if (cluster.persistence_enabled()) expected += 8;  // the lsn stamp
       EXPECT_EQ(blob.bytes, expected) << "family " << family.spec;
     }

@@ -3,8 +3,9 @@
 // Both inputs are files of `{"bench":...,"config":...,"msg_cost":...}` rows
 // (bench_util's result_line format; non-row lines are skipped, so raw bench
 // stdout works too). Rows are matched on (bench, config) and gated on every
-// deterministic model axis the row carries: msg_cost, work, bytes and
-// probes_per_op (the query planner's match-probe count). A
+// deterministic model axis the row carries: msg_cost, work, bytes,
+// probes_per_op (the query planner's match-probe count) and worst_ratio
+// (the competitive benches' measured ratio against the optimum). A
 // fresh row whose value on any gated axis exceeds the baseline's by more
 // than the tolerance (default 10%) is a regression and fails the run with
 // exit 1; axes the baseline row lacks (or records as 0 — wall-clock-only
@@ -17,7 +18,8 @@
 // Two gate directions: most axes are costs (more = regression), but
 // `goodput` is useful work (less = regression), so it gates on the
 // *downward* ratio. `shed_rate` and `p99_model` are deterministic
-// sim-model quantities from bench_overload and gate upward like costs.
+// sim-model quantities from bench_overload and gate upward like costs, and
+// so does `worst_ratio`: a higher competitive ratio is a worse policy.
 //
 // --repeat mode: compare two runs of the *same* benches and fail on ANY
 // difference in any deterministic axis — run-to-run drift means a bench is
@@ -102,9 +104,11 @@ int main(int argc, char** argv) {
   // Gated axes, all deterministic model quantities (wall clock is
   // machine-dependent and never gated). shed_rate and p99_model come from
   // bench_overload: virtual-time quantities, so exactly reproducible.
-  static const char* const kAxes[] = {"msg_cost",  "work",     "bytes",
-                                      "probes_per_op", "shed_rate",
-                                      "p99_model"};
+  // worst_ratio comes from the seeded competitive sweeps.
+  static const char* const kAxes[] = {"msg_cost",      "work",
+                                      "bytes",         "probes_per_op",
+                                      "shed_rate",     "p99_model",
+                                      "worst_ratio"};
   // Axes where *less* is the regression (useful work per time unit).
   static const char* const kMinAxes[] = {"goodput"};
   // Wall-clock axes: reported for visibility, NEVER gated — they move with
