@@ -124,10 +124,12 @@ int main() {
       "retries across outages, and the state transfers behind each\n"
       "recovery; duplicate suppression keeps the retries harmless.\n");
 
-  result_line("chaos_overhead", "fault-free", 1, 0, clean.msg_cost, 0);
-  result_line("chaos_overhead", "chaos", 1, 0, chaos.msg_cost, 0);
+  result_line("chaos_overhead", "fault-free", 1, 0, clean.msg_cost, 0,
+              clean.work);
+  result_line("chaos_overhead", "chaos", 1, 0, chaos.msg_cost, 0, chaos.work);
   JsonLine json("chaos_overhead_detail");
-  json.field("seed", kScheduleSeed)
+  json.field("config", "seed=" + std::to_string(kScheduleSeed))
+      .field("seed", kScheduleSeed)
       .field("clean_msg_cost", clean.msg_cost)
       .field("clean_work", clean.work)
       .field("chaos_msg_cost", chaos.msg_cost)

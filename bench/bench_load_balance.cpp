@@ -11,7 +11,7 @@
 // The second experiment makes the workload skewed: a background reader
 // keeps hammering the static basic-support pair while the measured reader
 // uses either blind rotation (spreads its reads uniformly, hot members
-// included) or sticky two-choice rotation (RuntimeConfig::sticky_rotation:
+// included) or sticky two-choice rotation (ReadRoute::kSticky:
 // anchor on a window, probe one alternative per read, move only when the
 // probe is measurably lighter). Sticky steers the measured reads away from
 // the hot pair, so the most-loaded replica ends up strictly lighter.
@@ -32,7 +32,8 @@ Distribution run(bool rotate, std::size_t wg_size) {
   ClusterConfig config;
   config.machines = 10;
   config.lambda = 1;
-  config.runtime.rotate_read_groups = rotate;
+  config.runtime.read_route =
+      rotate ? ReadRoute::kRotating : ReadRoute::kBasicSupport;
   Cluster cluster(TaskCluster::schema(), config);
   cluster.assign_basic_support();
   for (std::uint32_t m = 0; m < wg_size; ++m) {
@@ -70,7 +71,7 @@ SkewResult run_skewed(bool sticky) {
   ClusterConfig config;
   config.machines = 10;
   config.lambda = 1;
-  config.runtime.rotate_read_groups = true;
+  config.runtime.read_route = ReadRoute::kRotating;
   Cluster cluster(TaskCluster::schema(), config);
   cluster.assign_basic_support();
   for (std::uint32_t m = 0; m < kWg; ++m) {
@@ -79,8 +80,10 @@ SkewResult run_skewed(bool sticky) {
   cluster.settle();
   // Background reader: static read group, i.e. every one of its reads lands
   // on the basic-support pair {0, 1}.
-  cluster.runtime(MachineId{8}).mutable_config().rotate_read_groups = false;
-  cluster.runtime(MachineId{9}).mutable_config().sticky_rotation = sticky;
+  cluster.runtime(MachineId{8}).mutable_config().read_route =
+      ReadRoute::kBasicSupport;
+  cluster.runtime(MachineId{9}).mutable_config().read_route =
+      sticky ? ReadRoute::kSticky : ReadRoute::kRotating;
 
   cluster.insert_sync(cluster.process(MachineId{0}), TaskCluster::tuple(1));
   cluster.ledger().reset();

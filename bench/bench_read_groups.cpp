@@ -26,7 +26,8 @@ Measurement read_cost(std::size_t wg_size, bool use_read_groups,
   ClusterConfig config;
   config.machines = machines;
   config.lambda = lambda;
-  config.runtime.use_read_groups = use_read_groups;
+  config.runtime.read_route = use_read_groups ? ReadRoute::kBasicSupport
+                                              : ReadRoute::kWriteGroup;
   if (segments > 1) {
     // Segmented variant: same workload over a bridged LAN. The write group
     // still grows from the low ids (segment 0) while the reader sits on the

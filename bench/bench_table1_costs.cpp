@@ -98,7 +98,8 @@ Row measure_read_remote(std::size_t g, std::size_t live,
   config.machines = g + 2;
   config.lambda = g - 1;
   config.cost_model = CostModel{kAlpha, kBeta};
-  config.runtime.use_read_groups = read_groups;
+  config.runtime.read_route =
+      read_groups ? ReadRoute::kBasicSupport : ReadRoute::kWriteGroup;
   config.runtime.lambda = lambda_for_rg;
   auto cluster = std::make_unique<Cluster>(TaskCluster::schema(), config);
   cluster->assign_basic_support();

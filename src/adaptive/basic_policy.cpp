@@ -70,11 +70,6 @@ Cost BasicReplicationPolicy::counter(ClassId cls) {
   return entry.doubling ? entry.doubling->counter() : entry.fixed->counter();
 }
 
-bool BasicReplicationPolicy::automaton_in_group(ClassId cls) {
-  Entry& entry = entry_of(cls);
-  return entry.doubling ? entry.doubling->in_group() : entry.fixed->in_group();
-}
-
 void install_basic_policies(Cluster& cluster, BasicPolicyOptions options) {
   for (std::uint32_t m = 0; m < cluster.machine_count(); ++m) {
     PasoRuntime& runtime = cluster.runtime(MachineId{m});

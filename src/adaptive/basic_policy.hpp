@@ -37,7 +37,6 @@ class BasicReplicationPolicy final : public ReplicationPolicy {
 
   /// Introspection for tests and benches.
   Cost counter(ClassId cls);
-  bool automaton_in_group(ClassId cls);
 
  private:
   struct Entry {

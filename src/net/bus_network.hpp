@@ -111,16 +111,6 @@ class BusNetwork final : public Transport {
   // --- bounded bridge buffers (Topology::bridge_capacity) -------------------
   /// Crossings shed at a full destination ingress.
   std::uint64_t bridge_shed() const { return bridge_shed_; }
-  /// Crossings currently queued at `segment`'s bus ingress (reserved but
-  /// their destination-bus transmission has not begun at virtual `now`).
-  std::size_t bridge_queue_depth(std::size_t segment) const {
-    PASO_REQUIRE(segment < ingress_.size(), "unknown segment");
-    std::size_t depth = 0;
-    for (const sim::SimTime start : ingress_[segment]) {
-      if (start > simulator_.now()) ++depth;
-    }
-    return depth;
-  }
   /// High-water ingress depth seen on `segment` (the quantity a
   /// bridge_capacity bound caps).
   std::size_t bridge_queue_peak(std::size_t segment) const {

@@ -148,18 +148,4 @@ void MetricsRegistry::write_jsonl(std::ostream& os) const {
   }
 }
 
-void MetricsRegistry::write_csv(std::ostream& os) const {
-  os << "name,machine,type,value,count,sum\n";
-  for (const auto& [key, c] : counters_) {
-    os << key.name << "," << key.machine << ",counter," << c.value << ",,\n";
-  }
-  for (const auto& [key, g] : gauges_) {
-    os << key.name << "," << key.machine << ",gauge," << g.value << ",,\n";
-  }
-  for (const auto& [key, h] : histograms_) {
-    os << key.name << "," << key.machine << ",histogram,," << h.count() << ","
-       << h.sum() << "\n";
-  }
-}
-
 }  // namespace paso::obs

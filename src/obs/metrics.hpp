@@ -102,8 +102,6 @@ class MetricsRegistry {
   /// One `{"metric",...}` JSON row per metric per line (the structured
   /// sibling of the benches' `{"bench",...}` rows; see docs/observability.md).
   void write_jsonl(std::ostream& os) const;
-  /// CSV: name,machine,type,value,count,sum.
-  void write_csv(std::ostream& os) const;
 
  private:
   struct Key {

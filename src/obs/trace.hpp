@@ -1,7 +1,8 @@
 // Per-operation tracing for PASO primitives.
 //
 // Every insert / read / read&del (plain, robust or blocking) gets a trace
-// id at issue time, and each layer it flows through — runtime, GcastBatcher,
+// id when PasoRuntime opens the op and its one finish when the runtime
+// closes it; each layer the op flows through — runtime, its GcastBatcher,
 // GroupService, BusNetwork — records a span event against that id: enqueue,
 // batch-coalesce, gcast dispatch, per-member service, response fan-in,
 // retry, deadline expiry, view-change re-route. In the spirit of the

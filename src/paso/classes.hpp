@@ -60,9 +60,6 @@ class Schema {
   /// The group name associated with a class ("wg/<spec>/<partition>").
   const std::string& group_name(ClassId id) const;
 
-  /// Human-readable class label.
-  const std::string& class_label(ClassId id) const { return group_name(id); }
-
   const std::vector<ClassSpec>& specs() const { return specs_; }
 
   /// Which spec a class id belongs to, and its partition index.

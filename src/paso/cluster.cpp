@@ -455,13 +455,12 @@ bool Cluster::fault_tolerance_condition_holds() const {
 // ---------------------------------------------------------------------------
 // synchronous wrappers
 //
-// One body per wrapper, two driving modes. kSim pumps the simulator until
-// the callback fires (exactly the pre-seam behavior, event for event).
-// kThreaded issues the operation under the transport's stack lock, then
-// blocks the calling thread on a condition variable the completion callback
-// signals; the callback runs under the stack lock and takes the waiter's
-// mutex, which is safe because no thread ever takes the stack lock while
-// holding a waiter mutex.
+// Every wrapper is one call into drive_sync, which has two driving modes.
+// kSim pumps the simulator until the callback fires. The real clocks issue
+// the operation under the op's stack shards, then block the calling thread
+// on a condition variable the completion callback signals; the callback
+// runs under the stack shards and takes the waiter's mutex, which is safe
+// because no thread ever takes a stack shard while holding a waiter mutex.
 
 namespace {
 
@@ -475,13 +474,12 @@ struct SyncWaiter {
     fired = true;
     cv.notify_one();
   }
-  bool wait() {
+  void wait() {
     std::unique_lock<std::mutex> lock(mu);
     // No timeout: a timed-out return would leave the callback's captured
     // result slot dangling on this stack frame. A genuinely hung threaded
     // operation is surfaced by the test harness's process-level timeout.
     cv.wait(lock, [this] { return fired; });
-    return fired;
   }
 };
 
@@ -503,85 +501,74 @@ std::uint64_t Cluster::op_domain(MachineId issuer,
   return domain;
 }
 
-void Cluster::drive_sync(
-    std::uint64_t domain,
-    const std::function<void(std::function<void()>)>& issue) {
+template <typename Classes, typename Issue>
+std::optional<SearchResponse> Cluster::drive_sync(ProcessId process,
+                                                  const Classes& classes,
+                                                  const Issue& issue) {
+  std::optional<SearchResponse> out;
   if (config_.transport == TransportKind::kSim) {
-    bool done = false;
-    issue([&done] { done = true; });
-    simulator_.run_while_pending([&done] { return done; });
-    return;
+    issue(runtime(process.machine),
+          [&out](SearchResponse result) { out.emplace(std::move(result)); });
+    simulator_.run_while_pending([&out] { return out.has_value(); });
+    return out;
   }
   auto waiter = std::make_shared<SyncWaiter>();
-  transport_->run_scoped(
-      domain, [&issue, waiter] { issue([waiter] { waiter->signal(); }); });
+  transport_->run_scoped(op_domain(process.machine, classes()), [&] {
+    issue(runtime(process.machine),
+          [&out, waiter](SearchResponse result) {
+            out.emplace(std::move(result));
+            waiter->signal();
+          });
+  });
   waiter->wait();
+  return out;
 }
 
 bool Cluster::insert_sync(ProcessId process, Tuple fields) {
-  const std::optional<ClassId> cls = schema_.classify(fields);
-  const std::uint64_t domain =
-      op_domain(process.machine, cls.has_value()
-                                     ? std::vector<ClassId>{*cls}
-                                     : std::vector<ClassId>{});
-  bool done = false;
-  drive_sync(domain, [&](std::function<void()> fire) {
-    runtime(process.machine)
-        .insert(process, std::move(fields), [&done, fire = std::move(fire)] {
-          done = true;
-          fire();
-        });
-  });
-  return done;
+  const auto classes = [&] {
+    const std::optional<ClassId> cls = schema_.classify(fields);
+    return cls.has_value() ? std::vector<ClassId>{*cls}
+                           : std::vector<ClassId>{};
+  };
+  return drive_sync(process, classes,
+                    [&](PasoRuntime& rt, auto done) {
+                      rt.insert(process, std::move(fields),
+                                [done = std::move(done)] {
+                                  done(std::nullopt);
+                                });
+                    })
+      .has_value();
 }
 
 SearchResponse Cluster::read_sync(ProcessId process, SearchCriterion sc) {
-  const std::uint64_t domain =
-      op_domain(process.machine, schema_.candidate_classes(sc));
-  std::optional<SearchResponse> out;
-  drive_sync(domain, [&](std::function<void()> fire) {
-    runtime(process.machine)
-        .read(process, std::move(sc),
-              [&out, fire = std::move(fire)](SearchResponse result) {
-                out = std::move(result);
-                fire();
-              });
-  });
-  return out.has_value() ? std::move(*out) : SearchResponse{std::nullopt};
+  const auto classes = [&] { return schema_.candidate_classes(sc); };
+  return drive_sync(process, classes,
+                    [&](PasoRuntime& rt, auto done) {
+                      rt.read(process, std::move(sc), std::move(done));
+                    })
+      .value_or(std::nullopt);
 }
 
 SearchResponse Cluster::read_del_sync(ProcessId process, SearchCriterion sc) {
-  const std::uint64_t domain =
-      op_domain(process.machine, schema_.candidate_classes(sc));
-  std::optional<SearchResponse> out;
-  drive_sync(domain, [&](std::function<void()> fire) {
-    runtime(process.machine)
-        .read_del(process, std::move(sc),
-                  [&out, fire = std::move(fire)](SearchResponse result) {
-                    out = std::move(result);
-                    fire();
-                  });
-  });
-  return out.has_value() ? std::move(*out) : SearchResponse{std::nullopt};
+  const auto classes = [&] { return schema_.candidate_classes(sc); };
+  return drive_sync(process, classes,
+                    [&](PasoRuntime& rt, auto done) {
+                      rt.read_del(process, std::move(sc), std::move(done));
+                    })
+      .value_or(std::nullopt);
 }
 
 SearchResponse Cluster::read_blocking_sync(ProcessId process,
                                            SearchCriterion sc,
                                            BlockingMode mode,
                                            sim::SimTime deadline) {
-  const std::uint64_t domain =
-      op_domain(process.machine, schema_.candidate_classes(sc));
-  std::optional<SearchResponse> out;
-  drive_sync(domain, [&](std::function<void()> fire) {
-    runtime(process.machine)
-        .read_blocking(process, std::move(sc),
-                       [&out, fire = std::move(fire)](SearchResponse result) {
-                         out = std::move(result);
-                         fire();
-                       },
-                       mode, deadline);
-  });
-  return out.has_value() ? std::move(*out) : SearchResponse{std::nullopt};
+  const auto classes = [&] { return schema_.candidate_classes(sc); };
+  return drive_sync(process, classes,
+                    [&](PasoRuntime& rt, auto done) {
+                      rt.read_blocking(process, std::move(sc), std::move(done),
+                                       mode, deadline);
+                    })
+      .value_or(std::nullopt);
 }
 
 // ---------------------------------------------------------------------------

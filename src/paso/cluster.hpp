@@ -224,13 +224,16 @@ class Cluster {
  private:
   void wire_machine(MachineId m);
   void recover_locked(MachineId m, std::function<void()> initialized);
-  /// Issue an async operation and block until its completion fires: pump the
-  /// simulator (kSim) or wait on a condition variable (kThreaded). `issue`
-  /// receives the completion hook to splice into the operation's callback.
-  /// On sharded transports the issue runs under `domain`'s stack shards
-  /// (kGlobalDomain = the classic exclusive issue).
-  void drive_sync(std::uint64_t domain,
-                  const std::function<void(std::function<void()>)>& issue);
+  /// The one sync driver: issue an op through `issue(runtime, done)` and
+  /// block until the op calls `done(result)`. kSim pumps the simulator;
+  /// the real clocks issue under the stack shards of the op's domain over
+  /// `classes()` and wait on a condition variable. Returns nullopt if the
+  /// op never completed (e.g. the issuer crashed and the simulator
+  /// drained).
+  template <typename Classes, typename Issue>
+  std::optional<SearchResponse> drive_sync(ProcessId process,
+                                           const Classes& classes,
+                                           const Issue& issue);
   /// The stack-shard domain for an op issued at `issuer` over `classes`:
   /// the issuer's shard plus every candidate class's accumulated domain
   /// mask. Degrades to the global domain whenever narrowing is unsound —

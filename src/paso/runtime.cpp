@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "paso/batching.hpp"
 
 namespace paso {
 
@@ -52,46 +51,77 @@ PasoRuntime::PasoRuntime(MachineId self, const Schema& schema,
       groups_(groups),
       server_(server),
       config_(config),
-      batcher_(groups, self,
-               vsync::BatcherOptions{config.batch_window, config.max_batch},
-               server_batch_combiner(), server_batch_splitter()),
+      batcher_(groups, self, config.batch_window, config.max_batch),
       history_(history) {}
 
 void PasoRuntime::set_policy(std::unique_ptr<ReplicationPolicy> policy) {
   policy_ = std::move(policy);
 }
 
-obs::TraceId PasoRuntime::trace_begin(const char* op) {
-  const sim::SimTime now = groups_.network().executor().now();
+// ---------------------------------------------------------------------------
+// the op lifecycle: every insert, read and read&del — plain, robust or
+// blocking — opens once at issue and closes once at return
+
+PasoRuntime::IssuedOp PasoRuntime::open_op(const char* name,
+                                           ProcessId process,
+                                           const PasoObject& object) {
+  return open_op(name, history_ != nullptr
+                           ? history_->insert_issued(
+                                 process, groups_.network().now(), object)
+                           : 0);
+}
+
+PasoRuntime::IssuedOp PasoRuntime::open_op(const char* name,
+                                           ProcessId process,
+                                           semantics::OpKind kind,
+                                           const SearchCriterion& sc) {
+  return open_op(name, history_ != nullptr
+                           ? history_->search_issued(
+                                 process, groups_.network().now(), kind, sc)
+                           : 0);
+}
+
+PasoRuntime::IssuedOp PasoRuntime::open_op(const char* name,
+                                           std::uint64_t history_id) {
+  IssuedOp op{history_id, 0, groups_.network().now()};
   if (obs_.metrics != nullptr) {
-    obs_.metrics->counter(std::string("runtime.ops.") + op, self_).inc();
+    obs_.metrics->counter(std::string("runtime.ops.") + name, self_).inc();
     obs_.metrics->gauge("runtime.inflight", self_)
         .set(static_cast<double>(inflight_ + 1));
   }
-  if (obs_.tracer == nullptr) return 0;
-  return obs_.tracer->begin(op, self_, now);
+  if (obs_.tracer != nullptr) {
+    op.trace = obs_.tracer->begin(name, self_, op.issued_at);
+  }
+  ++inflight_;
+  return op;
 }
 
-void PasoRuntime::trace_finish(obs::TraceId trace, const char* status,
-                               sim::SimTime issued_at) {
-  if (!obs_.enabled()) return;
-  const sim::SimTime now = groups_.network().executor().now();
+void PasoRuntime::close_op(const IssuedOp& op, OpStatus status,
+                           SearchResponse result, bool abandon) {
+  const sim::SimTime now = groups_.network().now();
+  if (status == OpStatus::kTimeout) ++timeouts_;
+  if (history_ != nullptr) {
+    if (abandon) {
+      history_->op_abandoned(op.history_id, now);
+    } else {
+      history_->op_returned(op.history_id, now, std::move(result));
+    }
+  }
   if (obs_.metrics != nullptr) {
     obs_.metrics
         ->histogram("runtime.latency", self_,
                     {10, 25, 50, 100, 250, 500, 1000, 2500, 5000})
-        .observe(now - issued_at);
+        .observe(now - op.issued_at);
     obs_.metrics->gauge("runtime.inflight", self_)
         .set(static_cast<double>(inflight_ > 0 ? inflight_ - 1 : 0));
   }
-  if (obs_.tracer != nullptr) obs_.tracer->finish(trace, status, self_, now);
-}
-
-void PasoRuntime::record_return(std::uint64_t history_id, bool has_history,
-                                SearchResponse result) {
-  if (!has_history || history_ == nullptr) return;
-  history_->op_returned(history_id, groups_.network().executor().now(),
-                        std::move(result));
+  if (obs_.tracer != nullptr) {
+    if (status == OpStatus::kTimeout) {
+      obs_.tracer->span(op.trace, obs::SpanKind::kDeadline, self_, now);
+    }
+    obs_.tracer->finish(op.trace, op_status_name(status), self_, now);
+  }
+  if (inflight_ > 0) --inflight_;
 }
 
 // ---------------------------------------------------------------------------
@@ -112,39 +142,138 @@ ObjectId PasoRuntime::insert(ProcessId process, Tuple fields,
   PasoObject object;
   object.id = next_object_id(process, *cls);
   object.fields = std::move(fields);
+  const ObjectId id = object.id;
 
-  std::uint64_t history_id = 0;
-  bool has_history = false;
-  if (history_ != nullptr) {
-    history_id = history_->insert_issued(
-        process, groups_.network().executor().now(), object);
-    has_history = true;
-  }
-
-  StoreMsg msg{*cls, object};
-  const std::size_t bytes = msg.wire_size();
-  const obs::TraceId trace = trace_begin("insert");
-  const sim::SimTime issued_at = groups_.network().executor().now();
-  ++inflight_;
-  obs::OpTracer::Scope scope(obs_.tracer, trace);
-  batcher_.gcast(
-      group, vsync::Payload{ServerMessage{std::move(msg)}, bytes}, "store",
-      [this, history_id, has_history, trace, issued_at,
-       done = std::move(done)](std::optional<std::any>) {
-        record_return(history_id, has_history, std::nullopt);
-        trace_finish(trace, "ok", issued_at);
-        if (inflight_ > 0) --inflight_;
-        if (done) done();
-      });
-  return object.id;
+  const IssuedOp op = open_op("insert", process, object);
+  obs::OpTracer::Scope scope(obs_.tracer, op.trace);
+  batcher_.gcast(group, StoreMsg{*cls, std::move(object)},
+                 [this, op, done = std::move(done)](std::optional<std::any>) {
+                   close_op(op, OpStatus::kOk, std::nullopt);
+                   if (done) done();
+                 });
+  return id;
 }
 
 // ---------------------------------------------------------------------------
-// read
+// read and read&del
 
-std::vector<MachineId> PasoRuntime::read_group_of(ClassId cls) const {
-  if (basic_support_) return basic_support_(cls);
-  return {};
+void PasoRuntime::read(ProcessId process, SearchCriterion sc,
+                       SearchCallback cb) {
+  PASO_REQUIRE(groups_.is_up(self_), "read issued from a crashed machine");
+  search(process, semantics::OpKind::kRead, std::move(sc), std::move(cb));
+}
+
+void PasoRuntime::read_del(ProcessId process, SearchCriterion sc,
+                           SearchCallback cb) {
+  PASO_REQUIRE(groups_.is_up(self_),
+               "read&del issued from a crashed machine");
+  search(process, semantics::OpKind::kReadDel, std::move(sc), std::move(cb));
+}
+
+void PasoRuntime::search(ProcessId process, semantics::OpKind kind,
+                         SearchCriterion sc, SearchCallback cb) {
+  std::vector<ClassId> classes = schema_.candidate_classes(sc);
+  const IssuedOp op = open_op(
+      kind == semantics::OpKind::kRead ? "read" : "read_del", process, kind,
+      sc);
+  search_chain(process, kind, std::move(sc), std::move(classes), 0,
+               /*token=*/0,
+               [this, op, cb = std::move(cb)](SearchResponse result) {
+                 close_op(op, result ? OpStatus::kOk : OpStatus::kFail,
+                          result);
+                 if (cb) cb(std::move(result));
+               },
+               op.trace);
+}
+
+void PasoRuntime::search_chain(ProcessId process, semantics::OpKind kind,
+                               SearchCriterion sc,
+                               std::vector<ClassId> classes,
+                               std::size_t index, std::uint64_t token,
+                               SearchCallback cb, obs::TraceId trace) {
+  for (; index < classes.size(); ++index) {
+    const ClassId cls = classes[index];
+    const GroupName group = group_of(cls);
+    std::optional<BatchableOp> msg;
+    std::vector<MachineId> preferred;
+    std::size_t max_targets = SIZE_MAX;
+    if (kind == semantics::OpKind::kReadDel) {
+      // Every write-group member must apply the removal, so there is no
+      // local shortcut and no read-group restriction (Section 4.3).
+      msg = RemoveMsg{cls, sc, token};
+    } else {
+      // Reader-population signal for placement-aware replication: every
+      // class this read consults counts as reader interest from this
+      // machine.
+      ++reads_issued_[cls.value];
+      if (groups_.is_member(group, self_) && server_.supports(cls)) {
+        // Local fast path (Section 4.3): msg-cost 0, Q(l) work on this
+        // server.
+        SearchResponse result = server_.local_find(cls, sc);
+        if (policy_) policy_->on_local_read(cls, /*served_locally=*/true, 0);
+        if (result) {
+          cb(std::move(result));
+          return;
+        }
+        continue;
+      }
+      // Remote path: gcast mem-read(sc, C) to the read group.
+      if (config_.read_route != ReadRoute::kWriteGroup) {
+        max_targets = config_.lambda + 1;
+      }
+      preferred = read_group_of(cls, max_targets);
+      if (policy_) {
+        policy_->on_local_read(
+            cls, /*served_locally=*/false,
+            std::min(max_targets, groups_.group_size(group)));
+      }
+      msg = MemReadMsg{cls, sc};
+    }
+    obs::OpTracer::Scope scope(obs_.tracer, trace);
+    batcher_.gcast_to(
+        group, std::move(*msg), std::move(preferred), max_targets,
+        [this, process, kind, sc = std::move(sc), classes = std::move(classes),
+         index, token, trace,
+         cb = std::move(cb)](std::optional<std::any> response) mutable {
+          SearchResponse result = unwrap_search(response);
+          if (result) {
+            cb(std::move(result));
+            return;
+          }
+          search_chain(process, kind, std::move(sc), std::move(classes),
+                       index + 1, token, std::move(cb), trace);
+        });
+    return;
+  }
+  cb(std::nullopt);
+}
+
+std::vector<MachineId> PasoRuntime::read_group_of(ClassId cls,
+                                                  std::size_t window) {
+  switch (config_.read_route) {
+    case ReadRoute::kWriteGroup:
+      return {};
+    case ReadRoute::kBasicSupport:
+      return basic_support_ ? basic_support_(cls) : std::vector<MachineId>{};
+    case ReadRoute::kRotating:
+    case ReadRoute::kSticky:
+      break;
+  }
+  // Load-balancing routes: take `window` members of the current write group
+  // starting at a per-class offset — blindly advanced every read, or sticky
+  // two-choice driven by per-replica load counters.
+  const std::vector<MachineId> members =
+      groups_.view_of(group_of(cls)).members;
+  std::vector<MachineId> preferred;
+  if (members.empty()) return preferred;
+  const std::size_t start = config_.read_route == ReadRoute::kSticky
+                                ? sticky_start(cls, members, window)
+                                : read_rotation_[cls.value]++ % members.size();
+  for (std::size_t i = 0; i < members.size() && preferred.size() < window;
+       ++i) {
+    preferred.push_back(members[(start + i) % members.size()]);
+  }
+  return preferred;
 }
 
 std::size_t PasoRuntime::sticky_start(ClassId cls,
@@ -174,168 +303,6 @@ std::size_t PasoRuntime::sticky_start(ClassId cls,
     anchor = probe;
   }
   return anchor;
-}
-
-void PasoRuntime::read(ProcessId process, SearchCriterion sc,
-                       SearchCallback cb) {
-  PASO_REQUIRE(groups_.is_up(self_), "read issued from a crashed machine");
-  std::vector<ClassId> classes = schema_.candidate_classes(sc);
-  std::uint64_t history_id = 0;
-  bool has_history = false;
-  if (history_ != nullptr) {
-    history_id = history_->search_issued(process,
-                                         groups_.network().executor().now(),
-                                         semantics::OpKind::kRead, sc);
-    has_history = true;
-  }
-  const obs::TraceId trace = trace_begin("read");
-  const sim::SimTime issued_at = groups_.network().executor().now();
-  ++inflight_;
-  read_class_chain(process, std::move(sc), std::move(classes), 0,
-                   [this, history_id, has_history, trace,
-                    issued_at, cb = std::move(cb)](SearchResponse result) {
-                     record_return(history_id, has_history, result);
-                     trace_finish(trace, result ? "ok" : "fail", issued_at);
-                     if (inflight_ > 0) --inflight_;
-                     if (cb) cb(std::move(result));
-                   },
-                   trace);
-}
-
-void PasoRuntime::read_class_chain(ProcessId process, SearchCriterion sc,
-                                   std::vector<ClassId> classes,
-                                   std::size_t index, SearchCallback cb,
-                                   obs::TraceId trace) {
-  if (index >= classes.size()) {
-    cb(std::nullopt);
-    return;
-  }
-  const ClassId cls = classes[index];
-  const GroupName group = group_of(cls);
-  // Reader-population signal for placement-aware replication: every class
-  // this read consults counts as reader interest from this machine.
-  ++reads_issued_[cls.value];
-
-  if (groups_.is_member(group, self_) && server_.supports(cls)) {
-    // Local fast path (Section 4.3): msg-cost 0, Q(l) work on this server.
-    SearchResponse result = server_.local_find(cls, sc);
-    if (policy_) policy_->on_local_read(cls, /*served_locally=*/true, 0);
-    if (result) {
-      cb(std::move(result));
-      return;
-    }
-    read_class_chain(process, std::move(sc), std::move(classes), index + 1,
-                     std::move(cb), trace);
-    return;
-  }
-
-  // Remote path: gcast mem-read(sc, C) to the read group.
-  const std::size_t max_targets =
-      config_.use_read_groups ? config_.lambda + 1 : SIZE_MAX;
-  std::vector<MachineId> preferred;
-  if (config_.use_read_groups) {
-    if (config_.rotate_read_groups) {
-      // Load-balancing variant: take lambda+1 members of the current write
-      // group starting at a per-class offset — blindly advanced every read,
-      // or sticky two-choice driven by per-replica load counters.
-      const std::vector<MachineId> members = groups_.view_of(group).members;
-      if (!members.empty()) {
-        const std::size_t start =
-            config_.sticky_rotation
-                ? sticky_start(cls, members, max_targets)
-                : read_rotation_[cls.value]++ % members.size();
-        for (std::size_t i = 0; i < members.size() && preferred.size() < max_targets; ++i) {
-          preferred.push_back(members[(start + i) % members.size()]);
-        }
-      }
-    } else {
-      preferred = read_group_of(cls);
-    }
-  }
-  const std::size_t target_estimate =
-      std::min(max_targets, groups_.group_size(group));
-  if (policy_) {
-    policy_->on_local_read(cls, /*served_locally=*/false, target_estimate);
-  }
-
-  MemReadMsg msg{cls, sc};
-  const std::size_t bytes = msg.wire_size();
-  obs::OpTracer::Scope scope(obs_.tracer, trace);
-  batcher_.gcast_to(
-      group, vsync::Payload{ServerMessage{std::move(msg)}, bytes},
-      "mem-read", std::move(preferred), max_targets,
-      [this, process, sc = std::move(sc), classes = std::move(classes), index,
-       trace, cb = std::move(cb)](std::optional<std::any> response) mutable {
-        SearchResponse result = unwrap_search(response);
-        if (result) {
-          cb(std::move(result));
-          return;
-        }
-        read_class_chain(process, std::move(sc), std::move(classes),
-                         index + 1, std::move(cb), trace);
-      });
-}
-
-// ---------------------------------------------------------------------------
-// read&del
-
-void PasoRuntime::read_del(ProcessId process, SearchCriterion sc,
-                           SearchCallback cb) {
-  PASO_REQUIRE(groups_.is_up(self_),
-               "read&del issued from a crashed machine");
-  std::vector<ClassId> classes = schema_.candidate_classes(sc);
-  std::uint64_t history_id = 0;
-  bool has_history = false;
-  if (history_ != nullptr) {
-    history_id = history_->search_issued(process,
-                                         groups_.network().executor().now(),
-                                         semantics::OpKind::kReadDel, sc);
-    has_history = true;
-  }
-  const obs::TraceId trace = trace_begin("read_del");
-  const sim::SimTime issued_at = groups_.network().executor().now();
-  ++inflight_;
-  read_del_class_chain(process, std::move(sc), std::move(classes), 0,
-                       /*token=*/0,
-                       [this, history_id, has_history, trace,
-                        issued_at, cb = std::move(cb)](SearchResponse result) {
-                         record_return(history_id, has_history, result);
-                         trace_finish(trace, result ? "ok" : "fail",
-                                      issued_at);
-                         if (inflight_ > 0) --inflight_;
-                         if (cb) cb(std::move(result));
-                       },
-                       trace);
-}
-
-void PasoRuntime::read_del_class_chain(ProcessId process, SearchCriterion sc,
-                                       std::vector<ClassId> classes,
-                                       std::size_t index, std::uint64_t token,
-                                       SearchCallback cb, obs::TraceId trace) {
-  if (index >= classes.size()) {
-    cb(std::nullopt);
-    return;
-  }
-  const ClassId cls = classes[index];
-  // Every write-group member must apply the removal, so there is no local
-  // shortcut and no read-group restriction (Section 4.3).
-  RemoveMsg msg{cls, sc, token};
-  const std::size_t bytes = msg.wire_size();
-  obs::OpTracer::Scope scope(obs_.tracer, trace);
-  batcher_.gcast(
-      group_of(cls),
-      vsync::Payload{ServerMessage{std::move(msg)}, bytes}, "remove",
-      [this, process, sc = std::move(sc), classes = std::move(classes), index,
-       token, trace,
-       cb = std::move(cb)](std::optional<std::any> response) mutable {
-        SearchResponse result = unwrap_search(response);
-        if (result) {
-          cb(std::move(result));
-          return;
-        }
-        read_del_class_chain(process, std::move(sc), std::move(classes),
-                             index + 1, token, std::move(cb), trace);
-      });
 }
 
 // ---------------------------------------------------------------------------
@@ -369,18 +336,11 @@ void PasoRuntime::start_blocking(ProcessId process, SearchCriterion sc,
   op.mode = mode;
   op.deadline = deadline;
   op.classes = schema_.candidate_classes(op.criterion);
-  if (history_ != nullptr) {
-    op.history_id = history_->search_issued(
-        process, groups_.network().executor().now(), kind, op.criterion);
-    op.has_history = true;
-  }
-  op.trace = trace_begin(kind == semantics::OpKind::kRead
-                             ? "read_blocking"
-                             : "read_del_blocking");
-  op.issued_at = groups_.network().executor().now();
+  op.issued = open_op(kind == semantics::OpKind::kRead ? "read_blocking"
+                                                       : "read_del_blocking",
+                      process, kind, op.criterion);
   const std::uint64_t op_id = op.id;
   blocking_.emplace(op_id, std::move(op));
-  ++inflight_;
   if (mode == BlockingMode::kPoll) {
     blocking_poll(op_id);
   } else {
@@ -397,23 +357,18 @@ void PasoRuntime::blocking_poll(std::uint64_t op_id) {
     finish_blocking(op_id, std::nullopt, /*timed_out=*/true);
     return;
   }
-  auto retry = [this, op_id](SearchResponse result) {
-    auto again = blocking_.find(op_id);
-    if (again == blocking_.end()) return;
-    if (result) {
-      finish_blocking(op_id, std::move(result));
-      return;
-    }
-    groups_.network().executor().schedule_after(
-        config_.poll_interval, [this, op_id] { blocking_poll(op_id); });
-  };
-  if (op.kind == semantics::OpKind::kRead) {
-    read_class_chain(op.process, op.criterion, op.classes, 0,
-                     std::move(retry), op.trace);
-  } else {
-    read_del_class_chain(op.process, op.criterion, op.classes, 0,
-                         /*token=*/0, std::move(retry), op.trace);
-  }
+  search_chain(op.process, op.kind, op.criterion, op.classes, 0, /*token=*/0,
+               [this, op_id](SearchResponse result) {
+                 if (!blocking_.contains(op_id)) return;
+                 if (result) {
+                   finish_blocking(op_id, std::move(result));
+                   return;
+                 }
+                 groups_.network().executor().schedule_after(
+                     config_.poll_interval,
+                     [this, op_id] { blocking_poll(op_id); });
+               },
+               op.issued.trace);
 }
 
 void PasoRuntime::place_markers(std::uint64_t op_id) {
@@ -426,7 +381,7 @@ void PasoRuntime::place_markers(std::uint64_t op_id) {
     return;
   }
   const sim::SimTime expires = now + config_.marker_ttl;
-  obs::OpTracer::Scope scope(obs_.tracer, op.trace);
+  obs::OpTracer::Scope scope(obs_.tracer, op.issued.trace);
   for (const ClassId cls : op.classes) {
     PlaceMarkerMsg msg{cls, op.criterion, op_id, self_, expires};
     const std::size_t bytes = msg.wire_size();
@@ -462,22 +417,21 @@ void PasoRuntime::blocking_candidate(std::uint64_t op_id,
   // the ordered remove.
   if (op.claiming) return;
   op.claiming = true;
-  read_del_class_chain(op.process, op.criterion, op.classes, 0,
-                       /*token=*/0,
-                       [this, op_id](SearchResponse result) {
-                         auto again = blocking_.find(op_id);
-                         if (again == blocking_.end()) return;
-                         if (result) {
-                           finish_blocking(op_id, std::move(result));
-                         } else {
-                           again->second.claiming = false;
-                         }
-                       },
-                       op.trace);
+  search_chain(op.process, op.kind, op.criterion, op.classes, 0, /*token=*/0,
+               [this, op_id](SearchResponse result) {
+                 auto again = blocking_.find(op_id);
+                 if (again == blocking_.end()) return;
+                 if (result) {
+                   finish_blocking(op_id, std::move(result));
+                 } else {
+                   again->second.claiming = false;
+                 }
+               },
+               op.issued.trace);
 }
 
 void PasoRuntime::cancel_markers(const BlockingOp& op) {
-  obs::OpTracer::Scope scope(obs_.tracer, op.trace);
+  obs::OpTracer::Scope scope(obs_.tracer, op.issued.trace);
   for (const ClassId cls : op.classes) {
     CancelMarkerMsg msg{cls, op.id, self_};
     const std::size_t bytes = msg.wire_size();
@@ -494,32 +448,18 @@ void PasoRuntime::finish_blocking(std::uint64_t op_id, SearchResponse result,
   BlockingOp op = std::move(it->second);
   blocking_.erase(it);
   if (op.mode == BlockingMode::kMarker) cancel_markers(op);
+  const OpStatus status = result      ? OpStatus::kOk
+                          : timed_out ? OpStatus::kTimeout
+                                      : OpStatus::kFail;
   // A deadline expiry is not a definitive "fail": a probe's response — or,
   // worse, a claim's replicated removal — may still be in flight. Recording
   // a clean fail there would overclaim, so under `pessimistic_timeouts`
   // (and always when a claim is outstanding, where the removal may land
   // after this return) the op is abandoned instead: the record stays
   // pending and the checker applies crash-grade pessimism.
-  const bool abandon =
-      timed_out && !result && (config_.pessimistic_timeouts || op.claiming);
-  if (abandon) {
-    ++timeouts_;
-    if (op.has_history && history_ != nullptr) {
-      history_->op_abandoned(op.history_id,
-                             groups_.network().executor().now());
-    }
-  } else {
-    if (timed_out && !result) ++timeouts_;
-    record_return(op.history_id, op.has_history, result);
-  }
-  if (timed_out && obs_.tracer != nullptr) {
-    obs_.tracer->span(op.trace, obs::SpanKind::kDeadline, self_,
-                      groups_.network().executor().now());
-  }
-  trace_finish(op.trace,
-               result ? "ok" : (timed_out ? "timeout" : "fail"),
-               op.issued_at);
-  if (inflight_ > 0) --inflight_;
+  close_op(op.issued, status, result,
+           /*abandon=*/status == OpStatus::kTimeout &&
+               (config_.pessimistic_timeouts || op.claiming));
   if (op.cb) op.cb(std::move(result));
 }
 
@@ -594,31 +534,19 @@ ObjectId PasoRuntime::insert_robust(ProcessId process, Tuple fields,
 
   RobustOp op;
   op.classes = {*cls};
-  op.store = StoreMsg{*cls, object};
   op.report = std::move(report);
-  if (history_ != nullptr) {
-    op.history_id = history_->insert_issued(
-        process, groups_.network().executor().now(), object);
-    op.has_history = true;
-  }
+  op.issued = open_op("insert_robust", process, object);
+  op.store = StoreMsg{*cls, std::move(object)};
+  const ObjectId id = op.store->object.id;
   start_robust(process, semantics::OpKind::kInsert, std::move(op), deadline);
-  return object.id;
+  return id;
 }
 
 void PasoRuntime::read_robust(ProcessId process, SearchCriterion sc,
                               ReportCallback report, sim::SimTime deadline) {
   PASO_REQUIRE(groups_.is_up(self_), "read issued from a crashed machine");
-  RobustOp op;
-  op.criterion = sc;
-  op.classes = schema_.candidate_classes(sc);
-  op.report = std::move(report);
-  if (history_ != nullptr) {
-    op.history_id =
-        history_->search_issued(process, groups_.network().executor().now(),
-                                semantics::OpKind::kRead, sc);
-    op.has_history = true;
-  }
-  start_robust(process, semantics::OpKind::kRead, std::move(op), deadline);
+  search_robust(process, semantics::OpKind::kRead, std::move(sc),
+                std::move(report), deadline);
 }
 
 void PasoRuntime::read_del_robust(ProcessId process, SearchCriterion sc,
@@ -626,33 +554,33 @@ void PasoRuntime::read_del_robust(ProcessId process, SearchCriterion sc,
                                   sim::SimTime deadline) {
   PASO_REQUIRE(groups_.is_up(self_),
                "read&del issued from a crashed machine");
-  RobustOp op;
-  op.criterion = sc;
-  op.classes = schema_.candidate_classes(sc);
-  op.remove_token = next_remove_token();
-  op.report = std::move(report);
-  if (history_ != nullptr) {
-    op.history_id =
-        history_->search_issued(process, groups_.network().executor().now(),
-                                semantics::OpKind::kReadDel, sc);
-    op.has_history = true;
-  }
-  start_robust(process, semantics::OpKind::kReadDel, std::move(op), deadline);
+  search_robust(process, semantics::OpKind::kReadDel, std::move(sc),
+                std::move(report), deadline);
 }
 
-std::uint64_t PasoRuntime::start_robust(ProcessId process,
-                                        semantics::OpKind kind, RobustOp op,
-                                        sim::SimTime deadline) {
+void PasoRuntime::search_robust(ProcessId process, semantics::OpKind kind,
+                                SearchCriterion sc, ReportCallback report,
+                                sim::SimTime deadline) {
+  RobustOp op;
+  op.criterion = std::move(sc);
+  op.classes = schema_.candidate_classes(op.criterion);
+  if (kind == semantics::OpKind::kReadDel) {
+    op.remove_token = next_remove_token();
+  }
+  op.report = std::move(report);
+  op.issued = open_op(
+      kind == semantics::OpKind::kRead ? "read_robust" : "read_del_robust",
+      process, kind, op.criterion);
+  start_robust(process, kind, std::move(op), deadline);
+}
+
+void PasoRuntime::start_robust(ProcessId process, semantics::OpKind kind,
+                               RobustOp op, sim::SimTime deadline) {
   op.id = next_robust_id_++;
   op.process = process;
   op.kind = kind;
   op.deadline = resolve_deadline(deadline);
   op.backoff = config_.retry_backoff;
-  op.trace = trace_begin(kind == semantics::OpKind::kInsert ? "insert_robust"
-                         : kind == semantics::OpKind::kRead
-                             ? "read_robust"
-                             : "read_del_robust");
-  op.issued_at = groups_.network().executor().now();
   const std::uint64_t op_id = op.id;
 
   // Admission gate (SEDA-style): bound the robust stage's concurrency at
@@ -665,17 +593,14 @@ std::uint64_t PasoRuntime::start_robust(ProcessId process,
       obs_.metrics->counter("runtime.admission.rejected", self_).inc();
     }
     robust_.emplace(op_id, std::move(op));
-    ++inflight_;
     robust_finish(op_id, OpStatus::kOverloaded, std::nullopt);
-    return op_id;
+    return;
   }
 
   op.admitted = true;
   ++admitted_;
   robust_.emplace(op_id, std::move(op));
-  ++inflight_;
   robust_attempt(op_id);
-  return op_id;
 }
 
 void PasoRuntime::robust_attempt(std::uint64_t op_id) {
@@ -695,50 +620,31 @@ void PasoRuntime::robust_attempt(std::uint64_t op_id) {
   }
 
   ++op.attempts;
-  switch (op.kind) {
-    case semantics::OpKind::kInsert: {
-      StoreMsg msg = *op.store;
-      const GroupName group = group_of(msg.cls);
-      const std::size_t bytes = msg.wire_size();
-      // The deadline caps how long the batcher may hold the op: a retry
-      // issued near the deadline dispatches immediately instead of waiting
-      // out the coalescing window.
-      obs::OpTracer::Scope scope(obs_.tracer, op.trace);
-      batcher_.gcast(group,
-                     vsync::Payload{ServerMessage{std::move(msg)}, bytes},
-                     "store", [this, op_id](std::optional<std::any> response) {
-                       if (!robust_.contains(op_id)) return;  // superseded
-                       if (response.has_value()) {
-                         robust_finish(op_id, OpStatus::kOk, std::nullopt);
-                       }
-                       // nullopt = the group emptied under us: stay pending,
-                       // the timer retries or times out.
-                     },
-                     /*latest_dispatch=*/op.deadline);
-      break;
-    }
-    case semantics::OpKind::kRead:
-      read_class_chain(op.process, op.criterion, op.classes, 0,
-                       [this, op_id](SearchResponse result) {
-                         if (!robust_.contains(op_id)) return;
-                         robust_finish(
-                             op_id, result ? OpStatus::kOk : OpStatus::kFail,
-                             std::move(result));
-                       },
-                       op.trace);
-      break;
-    case semantics::OpKind::kReadDel:
-      read_del_class_chain(op.process, op.criterion, op.classes, 0,
-                           op.remove_token,
-                           [this, op_id](SearchResponse result) {
-                             if (!robust_.contains(op_id)) return;
-                             robust_finish(
-                                 op_id,
+  if (op.kind == semantics::OpKind::kInsert) {
+    // The deadline caps how long the batcher may hold the op: a retry
+    // issued near the deadline dispatches immediately instead of waiting
+    // out the coalescing window.
+    obs::OpTracer::Scope scope(obs_.tracer, op.issued.trace);
+    batcher_.gcast(group_of(op.store->cls), *op.store,
+                   [this, op_id](std::optional<std::any> response) {
+                     if (!robust_.contains(op_id)) return;  // superseded
+                     if (response.has_value()) {
+                       robust_finish(op_id, OpStatus::kOk, std::nullopt);
+                     }
+                     // nullopt = the group emptied under us: stay pending,
+                     // the timer retries or times out.
+                   },
+                   /*latest_dispatch=*/op.deadline);
+  } else {
+    search_chain(op.process, op.kind, op.criterion, op.classes, 0,
+                 op.remove_token,
+                 [this, op_id](SearchResponse result) {
+                   if (!robust_.contains(op_id)) return;
+                   robust_finish(op_id,
                                  result ? OpStatus::kOk : OpStatus::kFail,
                                  std::move(result));
-                           },
-                           op.trace);
-      break;
+                 },
+                 op.issued.trace);
   }
   // The attempt may have finished synchronously (local fast path); arming is
   // a no-op then.
@@ -777,8 +683,8 @@ void PasoRuntime::robust_timer_fired(std::uint64_t op_id) {
     obs_.metrics->counter("runtime.retries", self_).inc();
   }
   if (obs_.tracer != nullptr) {
-    obs_.tracer->span(op.trace, obs::SpanKind::kRetry, self_, now, "backoff",
-                      static_cast<double>(op.attempts));
+    obs_.tracer->span(op.issued.trace, obs::SpanKind::kRetry, self_, now,
+                      "backoff", static_cast<double>(op.attempts));
   }
   op.backoff *= kRetryBackoffFactor;
   robust_attempt(op_id);
@@ -790,34 +696,14 @@ void PasoRuntime::robust_finish(std::uint64_t op_id, OpStatus status,
   if (it == robust_.end()) return;
   RobustOp op = std::move(it->second);
   robust_.erase(it);
-  exec::Executor& sim = groups_.network().executor();
-  if (op.timer_armed) sim.cancel(op.timer);
-  switch (status) {
-    case OpStatus::kOk:
-      record_return(op.history_id, op.has_history, object);
-      break;
-    case OpStatus::kFail:
-      record_return(op.history_id, op.has_history, std::nullopt);
-      break;
-    case OpStatus::kTimeout:
-    case OpStatus::kDegraded:
-    case OpStatus::kOverloaded:
-      // The op's replicated effect may or may not have been applied (a
-      // retry could still be in flight); leave the record pending but
-      // abandoned, which the checker treats with crash-grade pessimism.
-      // (An overloaded rejection issued nothing, but an insert's identity
-      // was allocated — abandoned keeps the accounting uniform.)
-      if (status == OpStatus::kTimeout) ++timeouts_;
-      if (op.has_history && history_ != nullptr) {
-        history_->op_abandoned(op.history_id, sim.now());
-      }
-      break;
-  }
-  if (status == OpStatus::kTimeout && obs_.tracer != nullptr) {
-    obs_.tracer->span(op.trace, obs::SpanKind::kDeadline, self_, sim.now());
-  }
-  trace_finish(op.trace, op_status_name(status), op.issued_at);
-  if (inflight_ > 0) --inflight_;
+  if (op.timer_armed) groups_.network().executor().cancel(op.timer);
+  // A timed-out, degraded or overloaded op's replicated effect may or may
+  // not have been applied (a retry could still be in flight); leave the
+  // record pending but abandoned, which the checker treats with crash-grade
+  // pessimism. (An overloaded rejection issued nothing, but an insert's
+  // identity was allocated — abandoned keeps the accounting uniform.)
+  close_op(op.issued, status, object,
+           /*abandon=*/status != OpStatus::kOk && status != OpStatus::kFail);
   if (op.admitted && admitted_ > 0) --admitted_;
   if (op.report) {
     OpReport report;
@@ -852,8 +738,8 @@ void PasoRuntime::on_group_view_change(const GroupName& group,
     if (it == robust_.end()) continue;
     RobustOp& op = it->second;
     if (obs_.tracer != nullptr) {
-      obs_.tracer->span(op.trace, obs::SpanKind::kReroute, self_, sim.now(),
-                        group);
+      obs_.tracer->span(op.issued.trace, obs::SpanKind::kReroute, self_,
+                        sim.now(), group);
     }
     op.backoff = config_.retry_backoff;
     if (op.timer_armed) {

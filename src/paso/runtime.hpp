@@ -20,38 +20,43 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "paso/batcher.hpp"
 #include "paso/classes.hpp"
 #include "paso/memory_server.hpp"
 #include "paso/messages.hpp"
 #include "paso/replication_policy.hpp"
 #include "semantics/history.hpp"
-#include "vsync/batcher.hpp"
 #include "vsync/group_service.hpp"
 
 namespace paso {
+
+/// Where a remote read goes (Section 4.3): any read group rg(C) ⊆ wg(C) of
+/// at most lambda + 1 members satisfies the fault-tolerance condition.
+enum class ReadRoute {
+  /// The whole write group.
+  kWriteGroup,
+  /// The basic support B(C).
+  kBasicSupport,
+  /// lambda + 1 members of the current view, the window advanced on every
+  /// read. Spreads query work (the response-time concern the paper defers
+  /// to load balancing [13]).
+  kRotating,
+  /// Sticky two-choice rotation: keep the current window and probe one
+  /// rotating alternative per read, moving only when the alternative's
+  /// most-loaded replica carries measurably less load than the current
+  /// one — the balanced-allocations idea of [13]. Load is the per-replica
+  /// work counter in the cost ledger, standing in for the load reports
+  /// servers would piggyback on responses; blind per-read rotation keeps
+  /// hammering replicas that are hot from *other* classes, sticky
+  /// two-choice steers around them.
+  kSticky,
+};
 
 struct RuntimeConfig {
   /// Fault-tolerance degree: write groups must keep more than lambda - k
   /// members; read groups have at most lambda + 1 (Sections 3.1, 4.3).
   std::size_t lambda = 1;
-  /// Route remote reads to a read group of size <= lambda + 1 instead of the
-  /// whole write group.
-  bool use_read_groups = true;
-  /// Rotate the read group across the write group's members on successive
-  /// reads instead of always using the basic support. Spreads query work
-  /// (the response-time concern the paper defers to load balancing [13]);
-  /// any lambda+1 subset satisfies the fault-tolerance condition.
-  bool rotate_read_groups = false;
-  /// Sticky two-choice rotation (requires rotate_read_groups): instead of
-  /// advancing the read-group window on every read, keep the current
-  /// window and probe one rotating alternative per read, moving only when
-  /// the alternative's most-loaded replica carries measurably less load
-  /// than the current one — the balanced-allocations idea of [13]. Load is
-  /// the per-replica work counter in the cost ledger, standing in for the
-  /// load reports servers would piggyback on responses; blind per-read
-  /// rotation keeps hammering replicas that are hot from *other* classes,
-  /// sticky two-choice steers around them.
-  bool sticky_rotation = false;
+  ReadRoute read_route = ReadRoute::kBasicSupport;
   /// Busy-wait retry interval for blocking operations in polling mode.
   sim::SimTime poll_interval = 200;
   /// Marker lifetime in the hybrid blocking scheme; markers are re-placed
@@ -248,7 +253,7 @@ class PasoRuntime final : public GroupControl {
   }
   /// The batching layer store/mem-read/remove gcasts route through (markers
   /// go to `groups()` directly).
-  vsync::GcastBatcher& batcher() { return batcher_; }
+  GcastBatcher& batcher() { return batcher_; }
 
   /// Outstanding operations (non-blocking in flight + active blocking).
   std::size_t inflight() const { return inflight_; }
@@ -263,6 +268,14 @@ class PasoRuntime final : public GroupControl {
   std::size_t admitted_robust() const { return admitted_; }
 
  private:
+  /// One issued operation, from issue to return: its history record, its
+  /// trace and when it was issued.
+  struct IssuedOp {
+    std::uint64_t history_id = 0;
+    obs::TraceId trace = 0;
+    sim::SimTime issued_at = 0;
+  };
+
   struct BlockingOp {
     std::uint64_t id = 0;
     ProcessId process;
@@ -272,11 +285,8 @@ class PasoRuntime final : public GroupControl {
     BlockingMode mode = BlockingMode::kMarker;
     sim::SimTime deadline = kNoDeadline;
     std::vector<ClassId> classes;
-    std::uint64_t history_id = 0;
-    bool has_history = false;
+    IssuedOp issued;
     bool claiming = false;  ///< read&del claim gcast in flight
-    obs::TraceId trace = 0;
-    sim::SimTime issued_at = 0;
   };
 
   struct RobustOp {
@@ -290,24 +300,28 @@ class PasoRuntime final : public GroupControl {
     sim::SimTime deadline = kNoDeadline;
     sim::SimTime backoff = kNoDeadline;
     std::size_t attempts = 0;
-    std::uint64_t history_id = 0;
-    bool has_history = false;
+    IssuedOp issued;
     ReportCallback report;
     sim::EventId timer{};
     bool timer_armed = false;
-    obs::TraceId trace = 0;
-    sim::SimTime issued_at = 0;
     bool admitted = false;   ///< counts against admission_limit until finish
   };
 
-  void read_class_chain(ProcessId process, SearchCriterion sc,
-                        std::vector<ClassId> classes, std::size_t index,
-                        SearchCallback cb, obs::TraceId trace = 0);
-  void read_del_class_chain(ProcessId process, SearchCriterion sc,
-                            std::vector<ClassId> classes, std::size_t index,
-                            std::uint64_t token, SearchCallback cb,
-                            obs::TraceId trace = 0);
-  std::vector<MachineId> read_group_of(ClassId cls) const;
+  /// A plain read or read&del: open it, walk sc-list(sc), close it.
+  void search(ProcessId process, semantics::OpKind kind, SearchCriterion sc,
+              SearchCallback cb);
+  /// Walk `classes` from `index` on, one class at a time, until one yields
+  /// an object; `cb` receives it, or fail (nullopt) when every class came up
+  /// empty. A read takes the local fast path where this machine holds the
+  /// class and gcasts mem-read to the read group otherwise; a read&del
+  /// gcasts remove(sc, C, token) to the whole write group.
+  void search_chain(ProcessId process, semantics::OpKind kind,
+                    SearchCriterion sc, std::vector<ClassId> classes,
+                    std::size_t index, std::uint64_t token, SearchCallback cb,
+                    obs::TraceId trace);
+  /// The preferred targets of a remote read of `cls` under
+  /// RuntimeConfig::read_route; empty = the whole write group.
+  std::vector<MachineId> read_group_of(ClassId cls, std::size_t window);
   GroupName group_of(ClassId cls) const { return schema_.group_name(cls); }
   /// Sticky two-choice: the rotation offset to read from, given the
   /// current view members (sorted) and the read-group window size.
@@ -325,8 +339,12 @@ class PasoRuntime final : public GroupControl {
   void finish_blocking(std::uint64_t op_id, SearchResponse result,
                        bool timed_out = false);
 
-  std::uint64_t start_robust(ProcessId process, semantics::OpKind kind,
-                             RobustOp op, sim::SimTime deadline);
+  /// A robust read or read&del.
+  void search_robust(ProcessId process, semantics::OpKind kind,
+                     SearchCriterion sc, ReportCallback report,
+                     sim::SimTime deadline);
+  void start_robust(ProcessId process, semantics::OpKind kind, RobustOp op,
+                    sim::SimTime deadline);
   void robust_attempt(std::uint64_t op_id);
   void robust_arm_timer(std::uint64_t op_id);
   void robust_timer_fired(std::uint64_t op_id);
@@ -337,13 +355,19 @@ class PasoRuntime final : public GroupControl {
   ObjectId next_object_id(ProcessId process, ClassId cls);
   sim::SimTime resolve_deadline(sim::SimTime deadline) const;
 
-  void record_return(std::uint64_t history_id, bool has_history,
-                     SearchResponse result);
-
-  /// Trace/metric helpers; all no-ops with observability disabled.
-  obs::TraceId trace_begin(const char* op);
-  void trace_finish(obs::TraceId trace, const char* status,
-                    sim::SimTime issued_at);
+  /// Open an op: issue its history record (the insert of `object`, or a
+  /// `kind` search by `sc`), begin its trace `name` and count it in flight.
+  /// Trace and metric work is a no-op with observability disabled.
+  IssuedOp open_op(const char* name, ProcessId process,
+                   const PasoObject& object);
+  IssuedOp open_op(const char* name, ProcessId process,
+                   semantics::OpKind kind, const SearchCriterion& sc);
+  IssuedOp open_op(const char* name, std::uint64_t history_id);
+  /// Close an op with `status`: record its return with `result` in the
+  /// history — or mark the record abandoned — finish its trace and take it
+  /// out of flight.
+  void close_op(const IssuedOp& op, OpStatus status, SearchResponse result,
+                bool abandon = false);
 
   MachineId self_;
   const Schema& schema_;
@@ -351,7 +375,7 @@ class PasoRuntime final : public GroupControl {
   MemoryServer& server_;
   RuntimeConfig config_;
   obs::Obs obs_;
-  vsync::GcastBatcher batcher_;
+  GcastBatcher batcher_;
   semantics::HistoryRecorder* history_;
   std::unique_ptr<ReplicationPolicy> policy_;
   BasicSupportProvider basic_support_;

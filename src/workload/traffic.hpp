@@ -101,9 +101,6 @@ struct TrafficReport {
   sim::SimTime elapsed = 0;         ///< generation horizon actually used
   obs::Histogram latency{std::vector<double>{}};  ///< completed-op latency
 
-  double offered_rate() const {
-    return elapsed > 0 ? static_cast<double>(offered) / elapsed : 0.0;
-  }
   /// Completed useful work per virtual time unit — the bench's y-axis.
   double goodput() const {
     return elapsed > 0 ? static_cast<double>(ok) / elapsed : 0.0;

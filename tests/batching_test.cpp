@@ -116,13 +116,11 @@ TEST(BatchingTest, DeadlineAlreadyDueDispatchesSynchronously) {
   cluster.assign_basic_support();
   PasoRuntime& home = cluster.runtime(MachineId{3});
   const std::string group = cluster.schema().group_name(ClassId{0});
-  const auto payload_for = [&](std::uint64_t seq) {
+  const auto store_of = [&](std::uint64_t seq) {
     PasoObject object;
     object.id = ObjectId{cluster.process(MachineId{3}), seq};
     object.fields = task(static_cast<std::int64_t>(seq));
-    StoreMsg msg{ClassId{0}, object};
-    const std::size_t bytes = msg.wire_size();
-    return vsync::Payload{ServerMessage{std::move(msg)}, bytes};
+    return StoreMsg{ClassId{0}, std::move(object)};
   };
 
   // An op whose latest_dispatch has already arrived (a deadline-driven retry
@@ -130,15 +128,14 @@ TEST(BatchingTest, DeadlineAlreadyDueDispatchesSynchronously) {
   // the window clamp parked it behind a timer scheduled at `now`, so it sat
   // queued — and collected later ops into its batch — until the simulator
   // processed another event.
-  home.batcher().gcast(group, payload_for(900), "store", {},
-                       cluster.simulator().now());
+  home.batcher().gcast(group, store_of(900), {}, cluster.simulator().now());
   EXPECT_EQ(home.batcher().queued(), 0u)
       << "due op parked behind a timer instead of dispatching";
   EXPECT_EQ(cluster.ledger().per_tag().count("store"), 1u)
       << "store gcast never left the machine synchronously";
 
   // Companion: the same op with no deadline waits out the window.
-  home.batcher().gcast(group, payload_for(901), "store");
+  home.batcher().gcast(group, store_of(901));
   EXPECT_EQ(home.batcher().queued(), 1u);
   cluster.settle();
   EXPECT_EQ(home.batcher().queued(), 0u);

@@ -131,7 +131,7 @@ TEST_F(ClusterTest, LocalReadCostsNoMessages) {
 
 TEST_F(ClusterTest, RemoteReadUsesReadGroupOfLambdaPlusOne) {
   ClusterConfig cfg = config();
-  cfg.runtime.use_read_groups = true;
+  cfg.runtime.read_route = ReadRoute::kBasicSupport;
   Cluster cluster(task_schema(), cfg);
   cluster.assign_basic_support();
   const ClassId cls = *cluster.schema().classify(task(1, "x"));

@@ -23,7 +23,7 @@ TEST(RotationTest, SpreadsQueryWorkAcrossTheWriteGroup) {
   ClusterConfig cfg;
   cfg.machines = 8;
   cfg.lambda = 1;
-  cfg.runtime.rotate_read_groups = true;
+  cfg.runtime.read_route = ReadRoute::kRotating;
   Cluster cluster(kv_schema(), cfg);
   cluster.assign_basic_support();
   // Grow the write group to 4 members.
@@ -52,7 +52,7 @@ TEST(RotationTest, WithoutRotationOnlyTheBasicSupportServes) {
   ClusterConfig cfg;
   cfg.machines = 8;
   cfg.lambda = 1;
-  cfg.runtime.rotate_read_groups = false;
+  cfg.runtime.read_route = ReadRoute::kBasicSupport;
   Cluster cluster(kv_schema(), cfg);
   cluster.assign_basic_support();
   for (std::uint32_t m = 0; m < 4; ++m) {

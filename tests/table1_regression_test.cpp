@@ -86,7 +86,7 @@ TEST_P(Table1Regression, RemoteReadRow) {
   config.machines = g + 2;
   config.lambda = g - 1;
   config.cost_model = CostModel{kAlpha, kBeta};
-  config.runtime.use_read_groups = false;  // full write group, as in the row
+  config.runtime.read_route = ReadRoute::kWriteGroup;  // as in the row
   auto cluster = std::make_unique<Cluster>(task_schema(), config);
   cluster->assign_basic_support();
   const ProcessId loader =

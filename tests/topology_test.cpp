@@ -331,7 +331,7 @@ TEST(StickyRotationTest, SticksToOneWindowUnderHeavyUniformLoad) {
   ClusterConfig cfg;
   cfg.machines = 8;
   cfg.lambda = 1;
-  cfg.runtime.rotate_read_groups = true;
+  cfg.runtime.read_route = ReadRoute::kRotating;
   Cluster cluster(task_schema(), cfg);
   cluster.assign_basic_support();
   for (std::uint32_t m = 0; m < 6; ++m) {
@@ -357,7 +357,8 @@ TEST(StickyRotationTest, SticksToOneWindowUnderHeavyUniformLoad) {
 
   // 12 sticky reads add at most 12 services to the anchor window — under
   // the ~14.7 (280/19) the 5% margin needs before a probe wins.
-  cluster.runtime(MachineId{7}).mutable_config().sticky_rotation = true;
+  cluster.runtime(MachineId{7}).mutable_config().read_route =
+      ReadRoute::kSticky;
   const ProcessId reader = cluster.process(MachineId{7});
   for (int i = 0; i < 12; ++i) {
     cluster.read_sync(reader, criterion(Exact{Value{1ll}},
@@ -376,7 +377,7 @@ TEST(StickyRotationTest, CutsMaxLoadUnderSkewVersusBlindRotation) {
     ClusterConfig cfg;
     cfg.machines = 8;
     cfg.lambda = 1;
-    cfg.runtime.rotate_read_groups = true;
+    cfg.runtime.read_route = ReadRoute::kRotating;
     Cluster cluster(task_schema(), cfg);
     cluster.assign_basic_support();
     for (std::uint32_t m = 0; m < 6; ++m) {
@@ -385,8 +386,10 @@ TEST(StickyRotationTest, CutsMaxLoadUnderSkewVersusBlindRotation) {
     cluster.settle();
     // Background reader 6 pins the static basic pair; measured reader 7
     // rotates blindly or stickily.
-    cluster.runtime(MachineId{6}).mutable_config().rotate_read_groups = false;
-    cluster.runtime(MachineId{7}).mutable_config().sticky_rotation = sticky;
+    cluster.runtime(MachineId{6}).mutable_config().read_route =
+        ReadRoute::kBasicSupport;
+    cluster.runtime(MachineId{7}).mutable_config().read_route =
+        sticky ? ReadRoute::kSticky : ReadRoute::kRotating;
     EXPECT_TRUE(cluster.insert_sync(cluster.process(MachineId{0}), task(1)));
     cluster.ledger().reset();
 

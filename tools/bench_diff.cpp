@@ -1,8 +1,11 @@
 // bench_diff — compare fresh bench results against the committed baseline.
 //
 // Both inputs are files of `{"bench":...,"config":...,"msg_cost":...}` rows
-// (bench_util's result_line format; non-row lines are skipped, so raw bench
-// stdout works too). Rows are matched on (bench, config) and gated on every
+// (bench_util's result_line format; non-JSON lines are skipped, so raw bench
+// stdout works too). Every row must carry a (bench, config) key no other
+// row of its file repeats: a row the diff cannot match would go unchecked,
+// so a keyless or repeated row is an error (exit 2) that names the row.
+// Rows are matched on (bench, config) and gated on every
 // deterministic model axis the row carries: msg_cost, work, bytes,
 // probes_per_op (the query planner's match-probe count) and worst_ratio
 // (the competitive benches' measured ratio against the optimum). A
@@ -59,9 +62,22 @@ std::map<RowKey, paso::obs::JsonRow> load_rows(const char* path) {
     std::exit(2);
   }
   std::map<RowKey, paso::obs::JsonRow> rows;
+  std::size_t index = 0;
   for (paso::obs::JsonRow& row : paso::obs::read_json_rows(is)) {
-    if (!row.has("bench") || !row.has("config")) continue;
-    rows.emplace(RowKey{row.str("bench"), row.str("config")}, std::move(row));
+    ++index;
+    if (!row.has("bench") || !row.has("config")) {
+      std::fprintf(stderr,
+                   "bench_diff: %s: row %zu (bench \"%s\") has no "
+                   "(bench, config) key\n",
+                   path, index, row.str("bench").c_str());
+      std::exit(2);
+    }
+    RowKey key{row.str("bench"), row.str("config")};
+    if (!rows.emplace(key, std::move(row)).second) {
+      std::fprintf(stderr, "bench_diff: %s: row %zu repeats key %s / %s\n",
+                   path, index, key.first.c_str(), key.second.c_str());
+      std::exit(2);
+    }
   }
   return rows;
 }
