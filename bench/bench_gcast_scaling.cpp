@@ -36,7 +36,7 @@ class EchoEndpoint final : public vsync::GroupEndpoint {
     return result;
   }
   vsync::StateBlob capture_state(const GroupName&) override { return {}; }
-  void install_state(const GroupName&, const vsync::StateBlob&) override {}
+  void install_state(const GroupName&, vsync::StateBlob) override {}
   void erase_state(const GroupName&) override {}
   void on_view_change(const GroupName&, const vsync::View&) override {}
 

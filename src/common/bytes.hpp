@@ -6,6 +6,7 @@
 // sizes already charge.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -16,9 +17,12 @@
 
 namespace paso {
 
+/// Writes into a buffer kept sized to its capacity, so a primitive is one
+/// bounds check and a memcpy. reserve() with the exact encoded length sizes
+/// the buffer once; without it the buffer doubles as it fills.
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
+  void u8(std::uint8_t v) { raw(&v, 1); }
 
   void u32(std::uint32_t v) { raw(&v, 4); }
   void u64(std::uint64_t v) { raw(&v, 8); }
@@ -28,28 +32,46 @@ class ByteWriter {
   /// 4-byte length prefix + raw bytes.
   void text(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    raw(s.data(), s.size());
   }
 
   /// Raw bytes, no length prefix.
   void append(std::span<const std::uint8_t> data) {
-    bytes_.insert(bytes_.end(), data.begin(), data.end());
+    raw(data.data(), data.size());
   }
 
   /// Size the buffer once when the caller knows the encoded length.
-  void reserve(std::size_t n) { bytes_.reserve(n); }
+  void reserve(std::size_t n) {
+    if (n > buffer_.size()) buffer_.resize(n);
+  }
 
-  std::size_t size() const { return bytes_.size(); }
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
+  std::size_t size() const { return size_; }
+  /// The bytes written so far.
+  std::span<const std::uint8_t> bytes() const { return {buffer_.data(), size_}; }
+  /// `n` bytes at the end of the buffer for the caller to fill: one bounds
+  /// check for a run of writes of known total length.
+  std::uint8_t* claim(std::size_t n) {
+    if (n > buffer_.size() - size_) {
+      buffer_.resize(std::max(size_ + n, 2 * buffer_.size()));
+    }
+    std::uint8_t* at = buffer_.data() + size_;
+    size_ += n;
+    return at;
+  }
+
+  std::vector<std::uint8_t> take() {
+    buffer_.resize(size_);
+    size_ = 0;
+    return std::move(buffer_);
+  }
 
  private:
   void raw(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    bytes_.insert(bytes_.end(), p, p + n);
+    if (n != 0) std::memcpy(claim(n), data, n);
   }
 
-  std::vector<std::uint8_t> bytes_;
+  std::vector<std::uint8_t> buffer_;
+  std::size_t size_ = 0;
 };
 
 class ByteReader {

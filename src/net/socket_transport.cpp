@@ -521,7 +521,9 @@ void SocketTransport::io_loop() {
         Endpoint& ep = *endpoints_[m];
         if (ep.fd < 0 || ep.dead.load(std::memory_order_acquire)) continue;
         short events = POLLIN;
-        if (!ep.outq.empty()) events |= POLLOUT;
+        if (!ep.outq.empty() && !wire_held_.load(std::memory_order_acquire)) {
+          events |= POLLOUT;
+        }
         fds.push_back({ep.fd, events, 0});
         owners.push_back(static_cast<long>(m));
       }

@@ -130,6 +130,14 @@ class SocketTransport final : public RealClockTransport {
   }
   std::uint16_t port() const { return port_; }
 
+  /// While held, the IO thread leaves queued frames in place; releasing
+  /// the hold flushes everything queued meanwhile. Lets a test queue a
+  /// whole burst before the writer can run, whatever the scheduler does.
+  void hold_wire(bool held) {
+    wire_held_.store(held, std::memory_order_release);
+    if (!held) wake_io();
+  }
+
  private:
   /// Broker-side state of one machine's endpoint connection.
   struct Endpoint {
@@ -230,6 +238,7 @@ class SocketTransport final : public RealClockTransport {
   std::thread io_thread_;
   std::thread dispatch_thread_;
   std::atomic<bool> io_stop_{false};
+  std::atomic<bool> wire_held_{false};
 
   std::atomic<std::uint64_t> acks_{0};
   std::atomic<std::uint64_t> heartbeats_{0};

@@ -98,7 +98,7 @@ persist::CheckpointImage MemoryServer::checkpoint_image(
   persist::CheckpointImage image;
   image.lsn = state.lsn;
   image.next_age = state.next_age;
-  image.objects = state.store->snapshot();
+  image.store = state.store.get();
   // The runs are canonical, so replicas with equal state encode
   // byte-identical images.
   image.applied_inserts = state.applied_inserts;
@@ -110,15 +110,20 @@ persist::CheckpointImage MemoryServer::checkpoint_image(
 }
 
 void MemoryServer::install_image(ClassState& state,
-                                 const persist::CheckpointImage& image) {
-  state.store->load(image.objects);
+                                 persist::CheckpointImage image,
+                                 std::unique_ptr<storage::ObjectStore> store) {
+  if (store != nullptr) {
+    state.store = std::move(store);
+  } else {
+    state.store->load(std::move(image.objects));
+  }
   state.next_age = image.next_age;
   state.lsn = image.lsn;
-  state.applied_inserts = image.applied_inserts;
+  state.applied_inserts = std::move(image.applied_inserts);
   state.remove_cache.clear();
   state.remove_cache_order.clear();
-  for (const auto& [token, response] : image.remove_cache) {
-    state.remove_cache.emplace(token, response);
+  for (auto& [token, response] : image.remove_cache) {
+    state.remove_cache.emplace(token, std::move(response));
     state.remove_cache_order.push_back(token);
   }
 }
@@ -396,8 +401,9 @@ vsync::StateBlob MemoryServer::capture_state(const GroupName& group) {
   // Don't donate dead markers: the blob (and its byte cost) carries only
   // live ones.
   sweep_expired_markers(state);
-  auto snapshot = std::make_shared<const FullSnapshot>(
-      FullSnapshot{checkpoint_image(state), state.markers});
+  auto snapshot = std::make_shared<FullSnapshot>(FullSnapshot{
+      checkpoint_image(state), state.store->clone(), state.markers});
+  snapshot->image.store = snapshot->store.get();
   vsync::StateBlob blob;
   // Store payload + next_age + the dedup tables (24 bytes per identity
   // run, 16 per cached remove token): the joiner must refuse the same
@@ -414,28 +420,36 @@ vsync::StateBlob MemoryServer::capture_state(const GroupName& group) {
 }
 
 void MemoryServer::install_state(const GroupName& group,
-                                 const vsync::StateBlob& blob) {
+                                 vsync::StateBlob blob) {
   const auto cls = class_of_group(group);
   PASO_REQUIRE(cls.has_value(), "install on unknown group");
-  const auto* snapshot =
-      std::any_cast<std::shared_ptr<const FullSnapshot>>(&blob.state);
+  auto* snapshot = std::any_cast<std::shared_ptr<FullSnapshot>>(&blob.state);
   PASO_REQUIRE(snapshot != nullptr && *snapshot != nullptr,
                "unexpected state blob");
-  const persist::CheckpointImage& image = (*snapshot)->image;
+  FullSnapshot& full = **snapshot;
+  // A delivered transfer is installed once, from the only copy of its blob
+  // (the vsync arrival handler refuses duplicates), so the install takes
+  // the blob's store and tables over. A blob someone else still holds is
+  // left intact: its store is copied once more.
+  const bool sole = snapshot->use_count() == 1;
+  std::unique_ptr<storage::ObjectStore> store =
+      sole ? std::move(full.store) : full.store->clone();
+  persist::CheckpointImage image = sole ? std::move(full.image) : full.image;
+  image.store = store.get();
   ClassState& state = state_of(*cls);
-  install_image(state, image);
-  adopt_markers(*cls, state, (*snapshot)->markers);
   if (persist_ != nullptr && persist_->enabled()) {
     // A full install abandons whatever state line the old log described;
     // appending past it would leave an lsn gap that poisons every later
-    // replay. Restart durability from a fresh checkpoint of the image just
-    // installed — the state now is exactly that image.
+    // replay. Restart durability from a fresh checkpoint of the image the
+    // class takes, sealed from the very store it adopts.
     const Cost cost =
         persist_->reset_class(*cls, image, network_.executor().now());
     network_.ledger().charge_work(self_, cost);
     persist_span("reset", cost);
   }
-  PASO_TRACE("server") << self_ << " installed " << image.objects.size()
+  install_image(state, std::move(image), std::move(store));
+  adopt_markers(*cls, state, full.markers);
+  PASO_TRACE("server") << self_ << " installed " << state.store->size()
                        << " objects for " << group;
 }
 
@@ -595,7 +609,9 @@ Cost MemoryServer::recover_from_disk() {
     if (!recovered) continue;
     total += recovered->cost;
     ClassState& state = state_of(cls);
-    if (recovered->checkpoint) install_image(state, *recovered->checkpoint);
+    if (recovered->checkpoint) {
+      install_image(state, std::move(*recovered->checkpoint), nullptr);
+    }
     // recover() already truncated at the first gap or bad checksum, so
     // replay stopping early would be a logic error or corruption the frame
     // checksum missed; either way the prefix stands.
@@ -641,8 +657,13 @@ std::size_t MemoryServer::live_count(ClassId cls) const {
 }
 
 std::size_t MemoryServer::class_state_bytes(ClassId cls) const {
+  const storage::ObjectStore* store = store_of(cls);
+  return store == nullptr ? 0 : store->state_bytes();
+}
+
+const storage::ObjectStore* MemoryServer::store_of(ClassId cls) const {
   auto it = classes_.find(cls.value);
-  return it == classes_.end() ? 0 : it->second.store->state_bytes();
+  return it == classes_.end() ? nullptr : it->second.store.get();
 }
 
 std::size_t MemoryServer::total_objects() const {

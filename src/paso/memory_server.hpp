@@ -61,8 +61,7 @@ class MemoryServer final : public vsync::GroupEndpoint {
   vsync::GcastResult handle_gcast(const GroupName& group,
                                   const vsync::Payload& message) override;
   vsync::StateBlob capture_state(const GroupName& group) override;
-  void install_state(const GroupName& group,
-                     const vsync::StateBlob& blob) override;
+  void install_state(const GroupName& group, vsync::StateBlob blob) override;
   void erase_state(const GroupName& group) override;
   void on_view_change(const GroupName& group, const vsync::View& view) override;
   vsync::DurablePosition durable_position(const GroupName& group) override;
@@ -103,6 +102,10 @@ class MemoryServer final : public vsync::GroupEndpoint {
 
   /// Total objects across all supported classes (diagnostics).
   std::size_t total_objects() const;
+
+  /// The class's store, or null when this server does not support the
+  /// class (diagnostics and tests).
+  const storage::ObjectStore* store_of(ClassId cls) const;
 
   /// Duplicate store/remove deliveries refused by the idempotence layer
   /// (retransmissions and retries that were already applied).
@@ -180,13 +183,16 @@ class MemoryServer final : public vsync::GroupEndpoint {
     std::unordered_map<std::uint64_t, SearchResponse> remove_cache;
     std::deque<std::uint64_t> remove_cache_order;
   };
-  /// A full state-transfer blob: the donor's class image — the same value
-  /// a checkpoint seals, dedup tables included, since a joiner must refuse
-  /// the same duplicates its donor would — plus the donor's live markers,
-  /// which never reach disk. The objects are shared with the donor's store,
-  /// and the joiner's store shares them in turn: a transfer copies no tuple.
+  /// A full state-transfer blob: a copy of the donor's store, the rest of
+  /// its class image (ages, lsn and dedup tables — the same value a
+  /// checkpoint seals, since a joiner must refuse the same duplicates its
+  /// donor would) and the donor's live markers, which never reach disk.
+  /// The copy shares the donor's objects and copies its indexes whole, so
+  /// the joiner adopts it without re-indexing and a transfer copies no
+  /// tuple. The image's `store` points at the copy.
   struct FullSnapshot {
     persist::CheckpointImage image;
+    std::unique_ptr<storage::ObjectStore> store;
     std::vector<Marker> markers;
   };
   /// A delta state-transfer blob: the donor's log suffix past the joiner's
@@ -231,12 +237,17 @@ class MemoryServer final : public vsync::GroupEndpoint {
   std::size_t replay(ClassId cls, ClassState& state,
                      const std::vector<persist::WalRecord>& records,
                      ApplyMode mode, Cost& work);
-  /// Snapshot the class's current in-memory state as its image: what a
-  /// checkpoint seals and a full state transfer ships.
+  /// The class's current in-memory state as its image, objects read in
+  /// place from its store: what a checkpoint seals and, with a copy of the
+  /// store, what a full state transfer ships.
   persist::CheckpointImage checkpoint_image(const ClassState& state) const;
   /// Replace the class's state with an image — store, ages, lsn and both
-  /// dedup tables. Full install and recovery both come through here.
-  void install_image(ClassState& state, const persist::CheckpointImage& image);
+  /// dedup tables — taking over what the image holds. Full install and
+  /// recovery both come through here: a full install passes the donor's
+  /// store copy, which the class adopts whole; recovery passes none, and
+  /// the class's store loads the decoded image's objects.
+  void install_image(ClassState& state, persist::CheckpointImage image,
+                     std::unique_ptr<storage::ObjectStore> store);
   /// Run the checkpoint policy (bytes-since-last / age) for the class,
   /// folding any checkpoint's disk cost into `processing`.
   void maybe_checkpoint(ClassId cls, ClassState& state, Cost& processing);

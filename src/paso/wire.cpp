@@ -1,5 +1,7 @@
 #include "paso/wire.hpp"
 
+#include <cstring>
+
 namespace paso::wire {
 
 namespace {
@@ -42,10 +44,31 @@ enum class BatchOpTag : std::uint8_t {
   kRemove = 2,
 };
 
-void encode_object_id(ByteWriter& w, const ObjectId& id) {
-  w.u32(id.creator.machine.value);
-  w.u32(id.creator.ordinal);
-  w.u64(id.sequence);
+/// Copies `n` bytes to `at`; returns the position just past them.
+std::uint8_t* put(std::uint8_t* at, const void* data, std::size_t n) {
+  std::memcpy(at, data, n);
+  return at + n;
+}
+
+/// Writes `value`'s wire_size(value) bytes at `at`; returns the position
+/// just past them.
+std::uint8_t* put_value(std::uint8_t* at, const Value& value) {
+  switch (type_of(value)) {
+    case FieldType::kInt:
+      return put(at, &std::get<std::int64_t>(value), 8);
+    case FieldType::kReal:
+      return put(at, &std::get<double>(value), 8);
+    case FieldType::kText: {
+      const std::string& text = std::get<std::string>(value);
+      const auto length = static_cast<std::uint32_t>(text.size());
+      return put(put(at, &length, 4), text.data(), text.size());
+    }
+    case FieldType::kBool:
+      *at = std::get<bool>(value) ? 1 : 0;
+      return at + 1;
+  }
+  PASO_REQUIRE(false, "unknown value type");
+  return at;
 }
 
 ObjectId decode_object_id(ByteReader& r) {
@@ -59,21 +82,7 @@ ObjectId decode_object_id(ByteReader& r) {
 }  // namespace
 
 void encode_value(ByteWriter& w, const Value& value) {
-  switch (type_of(value)) {
-    case FieldType::kInt:
-      w.i64(std::get<std::int64_t>(value));
-      return;
-    case FieldType::kReal:
-      w.f64(std::get<double>(value));
-      return;
-    case FieldType::kText:
-      w.text(std::get<std::string>(value));
-      return;
-    case FieldType::kBool:
-      w.u8(std::get<bool>(value) ? 1 : 0);
-      return;
-  }
-  PASO_REQUIRE(false, "unknown value type");
+  put_value(w.claim(wire_size(value)), value);
 }
 
 Value decode_value(ByteReader& r, FieldType type) {
@@ -92,10 +101,13 @@ Value decode_value(ByteReader& r, FieldType type) {
 }
 
 void encode_object(ByteWriter& w, const PasoObject& object) {
-  encode_object_id(w, object.id);
-  for (const Value& field : object.fields) {
-    encode_value(w, field);
-  }
+  // The declared wire size is the encoded size: the whole object is one
+  // claim, written through a local cursor.
+  std::uint8_t* at = w.claim(object.wire_size());
+  at = put(at, &object.id.creator.machine.value, 4);
+  at = put(at, &object.id.creator.ordinal, 4);
+  at = put(at, &object.id.sequence, 8);
+  for (const Value& field : object.fields) at = put_value(at, field);
 }
 
 PasoObject decode_object(ByteReader& r,

@@ -28,13 +28,25 @@ IdentityRun decode_run(ByteReader& r) {
   return run;
 }
 
+/// The image's objects in age order; null entries are a store's tombstones.
+std::span<const storage::StoredObject> entries_of(const CheckpointImage& image) {
+  if (image.store != nullptr) return image.store->entries();
+  return image.objects;
+}
+
 }  // namespace
 
 std::size_t encoded_checkpoint_size(const CheckpointImage& image) {
   // epoch, lsn, next_age, three counts and the 4-byte seal.
   std::size_t size = 3 * 8 + 3 * 4 + 4;
-  for (const storage::StoredObject& stored : image.objects) {
-    size += 8 + stored.object->wire_size();
+  if (image.store != nullptr) {
+    // An 8-byte age and the wire size per live object: the store's state
+    // bytes without their 16-byte header, kept as it stores and removes.
+    size += image.store->state_bytes() - 16;
+  } else {
+    for (const storage::StoredObject& stored : image.objects) {
+      size += 8 + stored.object->wire_size();
+    }
   }
   size += kIdentityRunBytes * image.applied_inserts.size();
   for (const auto& [token, response] : image.remove_cache) {
@@ -51,8 +63,11 @@ std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image,
   w.u64(epoch);
   w.u64(image.lsn);
   w.u64(image.next_age);
-  w.u32(static_cast<std::uint32_t>(image.objects.size()));
-  for (const storage::StoredObject& stored : image.objects) {
+  const std::size_t live =
+      image.store != nullptr ? image.store->size() : image.objects.size();
+  w.u32(static_cast<std::uint32_t>(live));
+  for (const storage::StoredObject& stored : entries_of(image)) {
+    if (!stored.object) continue;
     w.u64(stored.age);
     wire::encode_object(w, *stored.object);
   }

@@ -30,9 +30,12 @@ namespace paso::persist {
 struct CheckpointImage {
   std::uint64_t lsn = 0;  ///< last operation the image covers
   std::uint64_t next_age = 0;
-  /// In strictly ascending age order. A captured image shares the store's objects; encoding
-  /// it writes them out without copying them first.
+  /// In strictly ascending age order: a decoded image's objects.
   std::vector<storage::StoredObject> objects;
+  /// A live class's store, sealed where it lies in place of `objects`
+  /// (which then stays empty): checkpointing a live class builds no
+  /// snapshot of its objects.
+  const storage::ObjectStore* store = nullptr;
   /// Idempotence tables. The insert identities are canonical runs, so
   /// their order is a function of the set alone; the remove cache is in
   /// eviction order.
@@ -44,8 +47,10 @@ struct CheckpointImage {
 inline constexpr std::size_t kIdentityRunBytes = 24;
 
 /// Seals the image under checkpoint generation `epoch` (monotonic per
-/// class). Encoding is signature-free (value types are implied by the
-/// object, as in the wire codec); decoding needs the class signature.
+/// class) into one buffer of its exact size. Encoding is signature-free
+/// (value types are implied by the object, as in the wire codec); decoding
+/// needs the class signature. A decoded image always holds `objects`, so
+/// it encodes to the same bytes as the store it was sealed from.
 std::vector<std::uint8_t> encode_checkpoint(const CheckpointImage& image,
                                             std::uint64_t epoch);
 

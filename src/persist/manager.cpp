@@ -78,12 +78,13 @@ Cost PersistenceManager::write_checkpoint(ClassId cls,
                                           sim::SimTime now) {
   if (!config_.enabled) return 0;
   ClassDurable& d = durable(cls);
-  const std::vector<std::uint8_t> bytes = encode_checkpoint(image, ++d.epoch);
-  Cost cost = disk_.overwrite(ckpt_file(cls), bytes);
+  std::vector<std::uint8_t> sealed = encode_checkpoint(image, ++d.epoch);
+  const std::size_t bytes = sealed.size();
+  Cost cost = disk_.overwrite(ckpt_file(cls), std::move(sealed));
   ++stats_.checkpoints;
-  stats_.checkpoint_bytes += bytes.size();
+  stats_.checkpoint_bytes += bytes;
   count("persist.checkpoints");
-  count("persist.checkpoint_bytes", static_cast<double>(bytes.size()));
+  count("persist.checkpoint_bytes", static_cast<double>(bytes));
   // The image covers everything up to image.lsn; on the apply path that is
   // the entire log, so compaction is a truncate-to-empty. (A scan-and-keep
   // of newer records would be needed only for images taken mid-stream,
@@ -96,7 +97,7 @@ Cost PersistenceManager::write_checkpoint(ClassId cls,
   d.last_checkpoint_at = now;
   // Accounted after compaction so on_disk reflects the post-checkpoint
   // footprint (image written, log behind it gone).
-  account_disk(bytes.size());
+  account_disk(bytes);
   return cost;
 }
 

@@ -121,14 +121,14 @@ class PersistenceManager {
   bool checkpoint_due(ClassId cls, sim::SimTime now) const;
 
   /// Seal a checkpoint image under the class's next epoch and compact the
-  /// log behind it. The image is only read (a full install seals the one
-  /// it received).
+  /// log behind it. The image is only read — a live class's objects where
+  /// they lie in its store — and the sealed buffer moves onto the disk.
   Cost write_checkpoint(ClassId cls, const CheckpointImage& image,
                         sim::SimTime now);
 
-  /// Full-transfer install: the in-memory state was just replaced wholesale,
-  /// so the old log no longer describes it. Writes a fresh checkpoint and
-  /// truncates the log to empty.
+  /// Full-transfer install: the in-memory state is replaced wholesale by
+  /// `image`, so the old log no longer describes it. Writes a fresh
+  /// checkpoint and truncates the log to empty.
   Cost reset_class(ClassId cls, const CheckpointImage& image,
                    sim::SimTime now);
 

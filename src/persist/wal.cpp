@@ -43,13 +43,70 @@ using CrcFn = std::uint32_t (*)(const std::uint8_t*, std::size_t,
                                 std::uint32_t);
 
 #if defined(__x86_64__)
+/// Bytes per stream in the three-stream hardware path: buffers of at least
+/// three blocks run three CRCs side by side, one per block, and join them.
+constexpr std::size_t kCrcBlock = 4096;
+
+using ShiftTables = std::array<std::array<std::uint32_t, 256>, 4>;
+
+/// Tables that advance a CRC register past kCrcBlock zero bytes: the CRC is
+/// linear in its register, so the register after the zeros is the XOR of
+/// tables[k][byte k of the register]. Joining stream A with the stream B
+/// that follows it is then shift(A) ^ B, B having started from zero.
+constexpr ShiftTables make_shift_tables() {
+  // Each register bit pushed through the zero bytes one byte at a time.
+  std::array<std::uint32_t, 32> bit{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    std::uint32_t crc = std::uint32_t{1} << i;
+    for (std::size_t n = 0; n < kCrcBlock; ++n) {
+      crc = (crc >> 8) ^ kCrcTables[0][crc & 0xFF];
+    }
+    bit[i] = crc;
+  }
+  ShiftTables tables{};
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      std::uint32_t sum = 0;
+      for (std::size_t i = 0; i < 8; ++i) {
+        if ((b >> i) & 1u) sum ^= bit[8 * k + i];
+      }
+      tables[k][b] = sum;
+    }
+  }
+  return tables;
+}
+
+constexpr ShiftTables kShiftBlock = make_shift_tables();
+
+std::uint32_t shift_block(std::uint32_t crc) {
+  return kShiftBlock[0][crc & 0xFF] ^ kShiftBlock[1][(crc >> 8) & 0xFF] ^
+         kShiftBlock[2][(crc >> 16) & 0xFF] ^ kShiftBlock[3][crc >> 24];
+}
+
 /// The SSE4.2 `crc32` instruction computes this very polynomial, reflected:
 /// one 8-byte step folds eight input bytes (read little-endian, i.e. in
-/// stream order). Compiled for SSE4.2 alone, so the build flags need not
-/// assume it; only called when the CPU reports it.
+/// stream order). The instruction's latency is three of its issue slots, so
+/// long buffers run three independent streams over three consecutive blocks
+/// and join them with the shift tables. Compiled for SSE4.2 alone, so the
+/// build flags need not assume it; only called when the CPU reports it.
 __attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
     const std::uint8_t* data, std::size_t size, std::uint32_t crc) {
   std::uint64_t c = ~crc;
+  for (; size >= 3 * kCrcBlock; data += 3 * kCrcBlock, size -= 3 * kCrcBlock) {
+    std::uint64_t c1 = 0;
+    std::uint64_t c2 = 0;
+    for (std::size_t at = 0; at < kCrcBlock; at += 8) {
+      std::uint64_t w0, w1, w2;
+      std::memcpy(&w0, data + at, 8);
+      std::memcpy(&w1, data + kCrcBlock + at, 8);
+      std::memcpy(&w2, data + 2 * kCrcBlock + at, 8);
+      c = _mm_crc32_u64(c, w0);
+      c1 = _mm_crc32_u64(c1, w1);
+      c2 = _mm_crc32_u64(c2, w2);
+    }
+    c = shift_block(static_cast<std::uint32_t>(c)) ^ c1;
+    c = shift_block(static_cast<std::uint32_t>(c)) ^ c2;
+  }
   for (; size >= 8; data += 8, size -= 8) {
     std::uint64_t word;
     std::memcpy(&word, data, 8);

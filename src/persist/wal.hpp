@@ -36,8 +36,9 @@ inline constexpr std::size_t kWalFrameBytes = 16;
 /// CRC-32C (Castagnoli, reflected, as in iSCSI and ext4) of `size` bytes.
 /// Passing a previous result as `crc` continues it: crc32c(b, crc32c(a)) is
 /// the CRC of a followed by b. Runs on the CPU's CRC instruction (SSE4.2
-/// `crc32`, 8 bytes a step) when the CPU has one, chosen once at startup;
-/// otherwise on crc32c_portable. Both give the same value for every input.
+/// `crc32`, 8 bytes a step, three streams at once over 12 KiB strides) when
+/// the CPU has one, chosen once at startup; otherwise on crc32c_portable.
+/// Both give the same value for every input.
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t size,
                      std::uint32_t crc = 0);
 

@@ -41,7 +41,7 @@ IndexedStore::IndexedStore(std::vector<std::size_t> indexed_fields,
       std::unique(indexed_fields.begin(), indexed_fields.end()),
       indexed_fields.end());
   PASO_REQUIRE(!indexed_fields.empty(), "IndexedStore needs >= 1 field");
-  // Sized once: a FieldIndex is not movable (its sorted twin owns a tree).
+  // Sized once: a FieldIndex moves by copying its sorted twin's tree.
   indexes_ = std::vector<FieldIndex>(indexed_fields.size());
   for (std::size_t i = 0; i < indexed_fields.size(); ++i) {
     indexes_[i].field = indexed_fields[i];

@@ -61,6 +61,9 @@ class IndexedStore final : public ObjectStore {
 
   std::optional<PasoObject> find(const SearchCriterion& sc) const override;
   std::optional<PasoObject> remove(const SearchCriterion& sc) override;
+  std::unique_ptr<ObjectStore> clone() const override {
+    return std::make_unique<IndexedStore>(*this);
+  }
 
   /// Model costs: each hash index is O(1) amortized — one unit per
   /// maintained index, two in ordered mode (the sorted twin is a tree
@@ -90,6 +93,17 @@ class IndexedStore final : public ObjectStore {
    public:
     AgeBucket() = default;
     explicit AgeBucket(std::uint64_t age) : one_(age) {}
+    AgeBucket(const AgeBucket& other)
+        : one_(other.one_),
+          more_(other.more_ ? std::make_unique<std::vector<std::uint64_t>>(
+                                  *other.more_)
+                            : nullptr) {}
+    AgeBucket& operator=(const AgeBucket& other) {
+      if (this != &other) *this = AgeBucket(other);
+      return *this;
+    }
+    AgeBucket(AgeBucket&&) = default;
+    AgeBucket& operator=(AgeBucket&&) = default;
     std::span<const std::uint64_t> ages() const {
       if (!more_) return {&one_, 1};
       return *more_;

@@ -23,6 +23,10 @@ class LinearStore final : public ObjectStore {
     return *base_erase(slot);
   }
 
+  std::unique_ptr<ObjectStore> clone() const override {
+    return std::make_unique<LinearStore>(*this);
+  }
+
   Cost insert_cost() const override { return 1; }
   Cost query_cost() const override {
     return std::max<Cost>(1, static_cast<Cost>(size()));

@@ -21,12 +21,14 @@
 // ObjectStore is the backbone the stores share: the objects in one vector in
 // age order, plus size bookkeeping; derived stores add a query index through
 // the index hooks, and the model costs. Ages must strictly ascend, so an
-// insert is a push_back and a load copies the snapshot. A removal leaves a
+// insert is a push_back and a load adopts the snapshot. A removal leaves a
 // tombstone (a null object), compacted away once tombstones outnumber live
 // entries, so a lookup by age is a binary search. There is no identity
 // table: the memory server refuses duplicate deliveries (A2) before they
-// reach the store. Objects are shared and immutable (ObjectRef): snapshot()
-// and load() pass reference counts, never copies of the tuples.
+// reach the store. Objects are shared and immutable (ObjectRef): snapshot(),
+// load() and clone() pass reference counts, never copies of the tuples.
+// clone() copies a store whole — age order, counts and every index — so a
+// full state transfer never re-indexes the class one object at a time.
 #pragma once
 
 #include <algorithm>
@@ -34,6 +36,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/cost.hpp"
@@ -97,17 +100,26 @@ class ObjectStore {
     return out;
   }
 
-  /// Replace contents with a snapshot (joiner side), sharing its objects.
-  /// Ages must strictly ascend, as in every snapshot; a refused load leaves
-  /// the store as it was.
-  void load(const std::vector<StoredObject>& objects) {
+  /// The age order where it lies, tombstones (null objects) included: a
+  /// checkpoint seals it without building a snapshot first.
+  std::span<const StoredObject> entries() const { return by_age_; }
+
+  /// A copy of this store: the same objects (shared), ages, counts and
+  /// indexes, copied table by table rather than rebuilt object by object.
+  virtual std::unique_ptr<ObjectStore> clone() const = 0;
+
+  /// Replace contents with a snapshot, taking over its references: recovery
+  /// installs a decoded checkpoint image this way. Ages must strictly
+  /// ascend, as in every snapshot; a refused load leaves the store as it
+  /// was.
+  void load(std::vector<StoredObject> objects) {
     for (std::size_t i = 1; i < objects.size(); ++i) {
       PASO_REQUIRE(objects[i - 1].age < objects[i].age,
                    "loaded ages must ascend");
     }
     clear();
-    by_age_ = objects;
-    index_reserve(objects.size());
+    by_age_ = std::move(objects);
+    index_reserve(by_age_.size());
     for (const StoredObject& entry : by_age_) account(entry);
   }
 
@@ -139,6 +151,18 @@ class ObjectStore {
   }
 
  protected:
+  ObjectStore() = default;
+  /// clone()'s copy, which a derived store extends with its indexes. It
+  /// keeps the live entries only: the indexes name ages, not positions, so
+  /// the copy leaves the original's tombstones behind.
+  ObjectStore(const ObjectStore& other)
+      : by_age_(other.snapshot()),
+        live_(other.live_),
+        arity_count_(other.arity_count_),
+        content_bytes_(other.content_bytes_),
+        probes_(other.probes_) {}
+  ObjectStore& operator=(const ObjectStore&) = delete;
+
   /// A live entry a read found, or null. Valid until the next store or
   /// removal: either may move or compact the age order.
   using Slot = const StoredObject*;

@@ -37,6 +37,11 @@ void shift_left(Array& items, std::size_t at, std::size_t n) {
 
 }  // namespace
 
+SortedIndex::SortedIndex(const SortedIndex& other) : size_(other.size_) {
+  Leaf* last = nullptr;
+  root_ = copy(other.root_, last);
+}
+
 SortedIndex::~SortedIndex() { destroy(root_); }
 
 void SortedIndex::clear() {
@@ -54,6 +59,23 @@ void SortedIndex::destroy(Node* node) {
   auto* inner = static_cast<Inner*>(node);
   for (std::size_t i = 0; i < inner->n; ++i) destroy(inner->child[i].node);
   delete inner;
+}
+
+SortedIndex::Node* SortedIndex::copy(const Node* node, Leaf*& last) {
+  if (node == nullptr) return nullptr;
+  if (node->leaf) {
+    auto* leaf = new Leaf(*static_cast<const Leaf*>(node));
+    leaf->prev = last;
+    leaf->next = nullptr;
+    if (last != nullptr) last->next = leaf;
+    last = leaf;
+    return leaf;
+  }
+  auto* inner = new Inner(*static_cast<const Inner*>(node));
+  for (std::size_t i = 0; i < inner->n; ++i) {
+    inner->child[i].node = copy(inner->child[i].node, last);
+  }
+  return inner;
 }
 
 std::size_t SortedIndex::total(const Node* node) {

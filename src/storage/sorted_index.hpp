@@ -44,7 +44,9 @@ class SortedIndex {
   };
 
   SortedIndex() = default;
-  SortedIndex(const SortedIndex&) = delete;
+  /// Copies the tree node for node: the same shape, counts and routing
+  /// keys, with the copy's leaves linked among themselves.
+  SortedIndex(const SortedIndex& other);
   SortedIndex& operator=(const SortedIndex&) = delete;
   ~SortedIndex();
 
@@ -146,6 +148,9 @@ class SortedIndex {
   static std::size_t total(const Node* node);
   static std::uint64_t oldest(const Node* node);
   static void destroy(Node* node);
+  /// Copies the subtree under `node`, appending its leaves to the chain
+  /// that ends at `last`.
+  static Node* copy(const Node* node, Leaf*& last);
 
   Node* root_ = nullptr;
   std::size_t size_ = 0;

@@ -61,8 +61,10 @@ class GroupEndpoint {
   virtual StateBlob capture_state(const GroupName& group) = 0;
 
   /// Joiner side: install the donated state. After this returns, the
-  /// joiner's state is consistent with the group (Section 4.2).
-  virtual void install_state(const GroupName& group, const StateBlob& blob) = 0;
+  /// joiner's state is consistent with the group (Section 4.2). The blob is
+  /// the endpoint's: state no other copy of it shares may be taken over
+  /// rather than copied.
+  virtual void install_state(const GroupName& group, StateBlob blob) = 0;
 
   /// Called on a member that has left (voluntarily) so it can erase the
   /// group's data ("for sake of space efficiency, servers should erase all

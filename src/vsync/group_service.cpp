@@ -443,14 +443,14 @@ void GroupService::dispatch_join(const GroupName& name, Op& op) {
   }
 
   send_transfer(name, op.id, j.transfer_seq, donor, copy_cost, is_delta,
-                std::make_shared<const StateBlob>(std::move(blob)),
+                std::make_shared<StateBlob>(std::move(blob)),
                 options_.retransmit_timeout);
 }
 
 void GroupService::send_transfer(const GroupName& name, std::uint64_t op_id,
                                  std::uint64_t seq, MachineId donor,
                                  Cost copy_cost, bool is_delta,
-                                 std::shared_ptr<const StateBlob> blob,
+                                 std::shared_ptr<StateBlob> blob,
                                  sim::SimTime retry_delay) {
   Op* op = active_op(name, op_id);
   if (op == nullptr || op->kind != Op::Kind::kJoin) return;
@@ -480,7 +480,9 @@ void GroupService::send_transfer(const GroupName& name, std::uint64_t op_id,
             return;
           }
         } else {
-          joiner_ep->install_state(name, *blob);
+          // The one install of this transfer: duplicates and superseded
+          // copies returned above, so the blob can be handed over.
+          joiner_ep->install_state(name, std::move(*blob));
         }
         network_.ledger().charge_work(join.joiner, copy_cost);
         // Installation takes time proportional to the state size; the view

@@ -213,7 +213,7 @@ class GroupService {
                     MachineId member);
   void send_transfer(const GroupName& name, std::uint64_t op_id,
                      std::uint64_t seq, MachineId donor, Cost copy_cost,
-                     bool is_delta, std::shared_ptr<const StateBlob> blob,
+                     bool is_delta, std::shared_ptr<StateBlob> blob,
                      sim::SimTime retry_delay);
   void maybe_complete_gcast(const GroupName& name, Op& op);
   void complete_active(const GroupName& name);

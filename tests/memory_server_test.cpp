@@ -276,28 +276,23 @@ TEST_F(MemoryServerTest, StateTransferSharesTheDonorsObjects) {
   // very objects. A donor crash or leave drops only the donor's references;
   // the joiner's objects stay intact.
   const GroupName group = schema_.group_name(ClassId{0});
+  const auto factory = [](ClassId) {
+    return std::make_unique<storage::IndexedStore>();
+  };
   for (const bool crash : {true, false}) {
-    storage::ObjectStore* donor_store = nullptr;
-    storage::ObjectStore* joiner_store = nullptr;
-    const auto recording = [](storage::ObjectStore*& out) {
-      return [&out](ClassId) {
-        auto store = std::make_unique<storage::IndexedStore>();
-        out = store.get();
-        return store;
-      };
-    };
-    MemoryServer donor(MachineId{0}, schema_, recording(donor_store),
-                       network_);
-    MemoryServer joiner(MachineId{1}, schema_, recording(joiner_store),
-                        network_);
+    MemoryServer donor(MachineId{0}, schema_, factory, network_);
+    MemoryServer joiner(MachineId{1}, schema_, factory, network_);
     for (std::uint64_t seq = 1; seq <= 6; ++seq) {
       const ServerMessage msg = StoreMsg{
           ClassId{0}, object(seq, static_cast<std::int64_t>(seq), "shared")};
       donor.handle_gcast(group, vsync::Payload{msg, message_wire_size(msg)});
     }
     joiner.install_state(group, donor.capture_state(group));
+    const storage::ObjectStore* donor_store = donor.store_of(ClassId{0});
+    const storage::ObjectStore* joiner_store = joiner.store_of(ClassId{0});
     ASSERT_NE(donor_store, nullptr);
     ASSERT_NE(joiner_store, nullptr);
+    ASSERT_NE(joiner_store, donor_store);
     const auto donated = donor_store->snapshot();
     const auto installed = joiner_store->snapshot();
     ASSERT_EQ(installed.size(), donated.size());
@@ -323,6 +318,59 @@ TEST_F(MemoryServerTest, StateTransferSharesTheDonorsObjects) {
                                    "shared"));
     }
   }
+}
+
+TEST_F(MemoryServerTest, FullInstallCopiesTheDonorsStoreWhole) {
+  // A full install adopts a copy of the donor's store, indexes included:
+  // the joiner's store reports the donor's size, state bytes, arity counts
+  // and per-index statistics as they stood at capture, whatever the donor
+  // does after. An install that shares its blob copies the store again;
+  // the install that holds the blob alone takes the store over.
+  const GroupName group = schema_.group_name(ClassId{0});
+  const auto factory = [](ClassId) {
+    return std::make_unique<storage::IndexedStore>(
+        std::vector<std::size_t>{0, 1},
+        storage::IndexedStore::Options{.ordered = true});
+  };
+  MemoryServer donor(MachineId{0}, schema_, factory, network_);
+  const auto deliver_to = [&](MemoryServer& server, const ServerMessage& msg) {
+    server.handle_gcast(group, vsync::Payload{msg, message_wire_size(msg)});
+  };
+  for (std::uint64_t seq = 1; seq <= 80; ++seq) {
+    deliver_to(donor,
+               StoreMsg{ClassId{0}, object(seq, static_cast<std::int64_t>(
+                                                    seq % 9),
+                                           std::string(seq % 5, 'x'))});
+  }
+  for (std::int64_t key = 0; key < 9; key += 2) {
+    deliver_to(donor, RemoveMsg{ClassId{0},
+                                criterion(Exact{Value{key}}, AnyField{})});
+  }
+  const auto& at_capture =
+      dynamic_cast<const storage::IndexedStore&>(*donor.store_of(ClassId{0}));
+  const auto stats = at_capture.index_stats();
+  const std::size_t size = at_capture.size();
+  const std::size_t bytes = at_capture.state_bytes();
+  const std::size_t arity = at_capture.arity_count(2);
+  vsync::StateBlob blob = donor.capture_state(group);
+  for (std::uint64_t seq = 81; seq <= 90; ++seq) {
+    deliver_to(donor, StoreMsg{ClassId{0}, object(seq, 3)});
+  }
+  ASSERT_NE(donor.store_of(ClassId{0})->size(), size);
+
+  MemoryServer copied(MachineId{1}, schema_, factory, network_);
+  MemoryServer taken(MachineId{1}, schema_, factory, network_);
+  copied.install_state(group, blob);
+  taken.install_state(group, std::move(blob));
+  for (const MemoryServer* joiner : {&copied, &taken}) {
+    const auto& store = dynamic_cast<const storage::IndexedStore&>(
+        *joiner->store_of(ClassId{0}));
+    EXPECT_EQ(store.index_stats(), stats);
+    EXPECT_EQ(store.size(), size);
+    EXPECT_EQ(store.state_bytes(), bytes);
+    EXPECT_EQ(store.arity_count(2), arity);
+  }
+  EXPECT_NE(copied.store_of(ClassId{0}), taken.store_of(ClassId{0}));
 }
 
 TEST_F(MemoryServerTest, StateRoundTripPreservesAgesAndMarkers) {

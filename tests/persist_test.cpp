@@ -181,6 +181,40 @@ TEST(WalTest, HardwareCrc32cMatchesPortableTables) {
   }
 }
 
+TEST(WalTest, HardwareCrc32cMatchesPortableTablesAcrossStreamBlocks) {
+  if (!crc32c_hardware()) {
+    GTEST_SKIP() << "no CRC instruction on this CPU: crc32c is the portable "
+                    "table path already";
+  }
+  // Buffers of three 4 KiB blocks and more run three interleaved streams
+  // joined by shift tables: lengths on either side of one and two such
+  // strides, a checkpoint-sized buffer and a long odd one, each at an
+  // aligned and an unaligned start, whole and continued from random cuts.
+  constexpr std::size_t kStride = 3 * 4096;
+  const std::size_t sizes[] = {kStride - 1,     kStride,     kStride + 1,
+                               2 * kStride - 1, 2 * kStride, 2 * kStride + 9,
+                               100'000,         (1u << 20) + 7};
+  std::mt19937_64 rng(27);
+  std::vector<std::uint8_t> buffer((1u << 20) + 16);
+  for (std::uint8_t& b : buffer) b = static_cast<std::uint8_t>(rng());
+  for (const std::size_t offset : {0, 3}) {
+    const std::uint8_t* data = buffer.data() + offset;
+    for (const std::size_t size : sizes) {
+      const std::uint32_t whole = crc32c_portable(data, size);
+      ASSERT_EQ(crc32c(data, size), whole)
+          << "offset " << offset << " size " << size;
+      for (int trial = 0; trial < 16; ++trial) {
+        const std::size_t cut = rng() % (size + 1);
+        ASSERT_EQ(crc32c(data + cut, size - cut, crc32c(data, cut)), whole)
+            << "offset " << offset << " size " << size << " split at " << cut;
+        ASSERT_EQ(crc32c(data + cut, size - cut, crc32c_portable(data, cut)),
+                  whole)
+            << "offset " << offset << " size " << size << " split at " << cut;
+      }
+    }
+  }
+}
+
 TEST(WalTest, RecordEncodingIsPinned) {
   // The framing is a disk format, so its bytes must never change: length
   // and CRC-32C of the whole frame, pinned from the slice-by-8 encoder.

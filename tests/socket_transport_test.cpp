@@ -285,22 +285,27 @@ TEST(SocketTransport, HeartbeatsFlowOnAnIdleFabric) {
 }
 
 TEST(SocketTransport, BurstCoalescesFramesIntoFewWriteSyscalls) {
-  // Syscall batching: 64 messages issued back-to-back must leave the broker
+  // Syscall batching: 64 messages queued back-to-back must leave the broker
   // in far fewer writev calls than frames — frames queued while the wire
   // was busy ride a later vectored write for free. The instrumented
   // counters make the ratio a hard assertion instead of an strace eyeball.
+  // The wire is held while the burst is queued: otherwise a sender
+  // preempted between sends lets the writer flush each frame alone, and
+  // the count measures the scheduler instead of the coalescing.
   SocketTransport transport(CostModel{1.0, 0.0}, 2);
   ASSERT_TRUE(transport.quiesce());  // handshake flushes settle first
   const std::uint64_t frames_before = transport.frames_sent();
   const std::uint64_t writes_before = transport.write_syscalls();
   constexpr int kBurst = 64;
   std::atomic<int> delivered{0};
+  transport.hold_wire(true);
   transport.run_exclusive([&] {
     for (int i = 0; i < kBurst; ++i) {
       transport.send(MachineId{0}, MachineId{1}, "burst", 32,
                      [&] { delivered.fetch_add(1); });
     }
   });
+  transport.hold_wire(false);
   ASSERT_TRUE(transport.quiesce());
   EXPECT_EQ(delivered.load(), kBurst);
   const std::uint64_t frames = transport.frames_sent() - frames_before;

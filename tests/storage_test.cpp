@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 
 #include "storage/indexed_store.hpp"
 #include "storage/linear_store.hpp"
@@ -40,7 +41,62 @@ class StoreContractTest
     if (kind == "indexed") {
       return std::make_unique<IndexedStore>(std::vector<std::size_t>{0, 1});
     }
+    if (kind == "ordered_multi") {
+      return std::make_unique<IndexedStore>(
+          std::vector<std::size_t>{0, 1},
+          IndexedStore::Options{.ordered = true});
+    }
     return std::make_unique<LinearStore>();
+  }
+
+  /// A store of `n` objects over a narrow key domain (repeated keys, so
+  /// hash buckets hold several ages) with every fourth one removed again
+  /// (so the age order holds tombstones); ages are 0..n-1.
+  std::unique_ptr<ObjectStore> make_filled_store(std::mt19937_64& rng,
+                                                 std::size_t n) const {
+    auto store = make_store();
+    for (std::uint64_t age = 0; age < n; ++age) {
+      store->store(random_object(rng, age), age);
+    }
+    for (std::size_t i = 0; i < n / 4; ++i) {
+      store->remove(key_criterion(static_cast<std::int64_t>(rng() % 40)));
+    }
+    return store;
+  }
+
+  static PasoObject random_object(std::mt19937_64& rng, std::uint64_t seq) {
+    std::string text;
+    for (std::size_t i = rng() % 4; i > 0; --i) text.push_back("ab"[rng() % 2]);
+    return make_object(seq, static_cast<std::int64_t>(rng() % 40), text);
+  }
+
+  /// Exact, Range, Prefix and TopK criteria over the objects above.
+  static SearchCriterion random_criterion(std::mt19937_64& rng) {
+    const auto key = [&rng] {
+      return Value{static_cast<std::int64_t>(rng() % 44) - 2};
+    };
+    switch (rng() % 4) {
+      case 0:
+        return criterion(Exact{key()}, AnyField{});
+      case 1: {
+        Value lo = key();
+        Value hi = key();
+        if (hi < lo) std::swap(lo, hi);
+        return criterion(range_between(lo, hi, rng() % 2 == 0), AnyField{});
+      }
+      case 2: {
+        std::string prefix;
+        for (std::size_t i = rng() % 3; i > 0; --i) {
+          prefix.push_back("ab"[rng() % 2]);
+        }
+        return criterion(AnyField{}, TextPrefix{prefix});
+      }
+      default:
+        return ranked(criterion(AnyField{}, AnyField{}),
+                      TopK{.field = 0,
+                           .k = static_cast<std::uint32_t>(1 + rng() % 3),
+                           .descending = rng() % 2 == 0});
+    }
   }
 };
 
@@ -125,6 +181,79 @@ TEST_P(StoreContractTest, SnapshotLoadRoundTripsInAgeOrder) {
   EXPECT_EQ(oldest->id.sequence, 1u);
 }
 
+TEST_P(StoreContractTest, CloneAnswersLikeTheOriginalAndALoadedStore) {
+  // A clone copies the age order, counts and indexes table by table instead
+  // of re-indexing: it must answer every find and remove exactly as the
+  // original does and as a store load() built from the original's
+  // snapshot, over tombstones and repeated keys, while all three take the
+  // same further stores and removals.
+  std::mt19937_64 rng(27);
+  auto original = make_filled_store(rng, 400);
+  auto clone = original->clone();
+  auto loaded = make_store();
+  loaded->load(original->snapshot());
+  ObjectStore* stores[] = {original.get(), clone.get(), loaded.get()};
+  std::uint64_t age = 400;
+  for (int step = 0; step < 3000; ++step) {
+    for (ObjectStore* store : stores) {
+      ASSERT_EQ(store->size(), original->size()) << "step " << step;
+      ASSERT_EQ(store->state_bytes(), original->state_bytes());
+      ASSERT_EQ(store->arity_count(2), original->arity_count(2));
+    }
+    const std::uint64_t roll = rng() % 8;
+    if (roll == 0) {
+      const PasoObject object = random_object(rng, age);
+      for (ObjectStore* store : stores) store->store(object, age);
+      ++age;
+      continue;
+    }
+    const SearchCriterion sc = random_criterion(rng);
+    const bool remove = roll < 3;
+    const auto expected = remove ? original->remove(sc) : original->find(sc);
+    for (ObjectStore* store : {clone.get(), loaded.get()}) {
+      const auto got = remove ? store->remove(sc) : store->find(sc);
+      ASSERT_EQ(got, expected)
+          << "step " << step << (remove ? " remove " : " find ")
+          << (store == clone.get() ? "on the clone" : "on the loaded store");
+    }
+  }
+  if (const auto* indexed = dynamic_cast<const IndexedStore*>(original.get())) {
+    EXPECT_EQ(dynamic_cast<const IndexedStore&>(*clone).index_stats(),
+              indexed->index_stats());
+  }
+}
+
+TEST_P(StoreContractTest, MutatingACloneLeavesTheOriginalUnchanged) {
+  std::mt19937_64 rng(28);
+  auto original = make_filled_store(rng, 300);
+  const auto before = original->snapshot();
+  const std::size_t bytes = original->state_bytes();
+  auto reference = make_store();
+  reference->load(before);
+
+  // Empty the clone by removals, then refill it with other objects.
+  auto clone = original->clone();
+  while (clone->remove(criterion(AnyField{}, AnyField{})).has_value()) {
+  }
+  for (std::uint64_t age = 300; age < 400; ++age) {
+    clone->store(random_object(rng, age), age);
+  }
+  EXPECT_EQ(clone->size(), 100u);
+
+  const auto after = original->snapshot();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].age, before[i].age);
+    EXPECT_EQ(after[i].object.get(), before[i].object.get());
+  }
+  EXPECT_EQ(original->state_bytes(), bytes);
+  // The original's indexes still answer as a store built from its contents.
+  for (int step = 0; step < 1000; ++step) {
+    const SearchCriterion sc = random_criterion(rng);
+    ASSERT_EQ(original->find(sc), reference->find(sc)) << "step " << step;
+  }
+}
+
 TEST_P(StoreContractTest, StateBytesTracksContent) {
   auto store = make_store();
   const std::size_t empty = store->state_bytes();
@@ -145,7 +274,7 @@ TEST_P(StoreContractTest, ClearEmptiesEverything) {
 
 INSTANTIATE_TEST_SUITE_P(AllStores, StoreContractTest,
                          ::testing::Values("hash", "ordered", "linear",
-                                           "indexed"),
+                                           "indexed", "ordered_multi"),
                          [](const auto& info) { return info.param; });
 
 // --- kind-specific behaviour -------------------------------------------------

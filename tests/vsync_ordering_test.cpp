@@ -28,7 +28,7 @@ class OrderEndpoint : public GroupEndpoint {
   StateBlob capture_state(const GroupName& group) override {
     return StateBlob{log_[group], 8 * log_[group].size() + 8};
   }
-  void install_state(const GroupName& group, const StateBlob& blob) override {
+  void install_state(const GroupName& group, StateBlob blob) override {
     log_[group] = *std::any_cast<std::vector<std::string>>(&blob.state);
   }
   void erase_state(const GroupName& group) override { log_.erase(group); }

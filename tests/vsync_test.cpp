@@ -37,7 +37,7 @@ class TestEndpoint : public GroupEndpoint {
     return blob;
   }
 
-  void install_state(const GroupName& group, const StateBlob& blob) override {
+  void install_state(const GroupName& group, StateBlob blob) override {
     const auto* state = std::any_cast<std::vector<std::string>>(&blob.state);
     ASSERT_NE(state, nullptr);
     log_[group] = *state;

@@ -23,6 +23,11 @@
 // *downward* ratio. `shed_rate` and `p99_model` are deterministic
 // sim-model quantities from bench_overload and gate upward like costs, and
 // so does `worst_ratio`: a higher competitive ratio is a worse policy.
+// The chaos detail row's counts (`retransmits`, `retries`,
+// `duplicates_refused`, `chaos_msg_cost`, `chaos_work`) gate both ways:
+// the seeded fault schedule makes them exact, so a move in either
+// direction means the schedule or the recovery path changed, and the row
+// must be re-pinned on purpose.
 //
 // --repeat mode: compare two runs of the *same* benches and fail on ANY
 // difference in any deterministic axis — run-to-run drift means a bench is
@@ -127,6 +132,11 @@ int main(int argc, char** argv) {
                                       "worst_ratio"};
   // Axes where *less* is the regression (useful work per time unit).
   static const char* const kMinAxes[] = {"goodput"};
+  // Axes where any move past the tolerance is the regression: the chaos
+  // detail row's deterministic counts.
+  static const char* const kExactAxes[] = {"retransmits", "retries",
+                                           "duplicates_refused",
+                                           "chaos_msg_cost", "chaos_work"};
   // Wall-clock axes: reported for visibility, NEVER gated — they move with
   // the machine, the load and the scheduler, not with the algorithms.
   static const char* const kWallAxes[] = {"ns_per_op", "ops_per_sec", "p50_ns",
@@ -167,6 +177,7 @@ int main(int argc, char** argv) {
       };
       for (const char* axis : kAxes) check_axis(axis);
       for (const char* axis : kMinAxes) check_axis(axis);
+      for (const char* axis : kExactAxes) check_axis(axis);
     }
     for (const auto& [key, row] : fresh) {
       if (!baseline.contains(key)) {
@@ -234,6 +245,22 @@ int main(int argc, char** argv) {
                     key.first.c_str(), key.second.c_str(), axis, base, now,
                     (ratio - 1.0) * 100);
         ++improved;
+      }
+    }
+    for (const char* axis : kExactAxes) {
+      if (!base_row.has(axis)) continue;
+      if (!row_counted) {
+        ++compared;
+        row_counted = true;
+      }
+      const double base = base_row.num(axis);
+      const double now = it->second.has(axis) ? it->second.num(axis) : -1;
+      const double limit = tolerance * base;
+      if (now < base - limit || now > base + limit) {
+        std::printf("FAIL %s / %s: %s %.6g -> %.6g (moved past %.0f%%)\n",
+                    key.first.c_str(), key.second.c_str(), axis, base, now,
+                    tolerance * 100);
+        ++regressions;
       }
     }
     for (const char* axis : kWallAxes) {
